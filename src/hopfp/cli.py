@@ -11,18 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
-from .compiler import (
-    CodingContext,
-    NotAnEncoding,
-    PreconditionError,
-    ReductionParams,
-    build_machine_formula,
-    crossval,
-    minimal_system_size,
-)
+from .compiler import ReductionParams, build_machine_formula, crossval, resolve_case
 from .domains import (
     DEFAULT_ENUM_BUDGET,
     BudgetError,
@@ -42,28 +33,10 @@ from .frontend import (
     parse_value,
 )
 from .logic import TypingError, check_well_formed, formula_order
-from .lts import ordered_lts
-from .machine import encode_lts, run
+from .machine import run
 
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Budgets and plumbing shared by the evaluating subcommands."""
-
-    budget: int = DEFAULT_ENUM_BUDGET
-    max_steps: Optional[int] = None
-    space_budget: Optional[int] = None
-    stats: bool = False
-    output: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        for name in ("budget", "max_steps", "space_budget"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ValueError("%s must be positive" % name.replace("_", " "))
 
 
 def _positive(text: str) -> int:
@@ -91,16 +64,6 @@ def _emit(text: str, path: Optional[str]) -> None:
             handle.write(text + "\n")
 
 
-def _config(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        budget=getattr(args, "budget", DEFAULT_ENUM_BUDGET),
-        max_steps=getattr(args, "max_steps", None),
-        space_budget=getattr(args, "space_budget", None),
-        stats=getattr(args, "stats", False),
-        output=getattr(args, "output", None),
-    )
-
-
 def _stats_record(stats: EvalStats) -> str:
     return json.dumps(
         {
@@ -124,16 +87,11 @@ def _parse_env(pairs, lts):
     return env, ctx
 
 
-def _coding_setup(args, machine):
-    """Shared system/word resolution for compile-tm and crossval."""
-    params = ReductionParams(args.k, args.c)
-    if args.lts is not None:
-        lts = parse_lts(_slurp(args.lts))
-        word = encode_lts(lts)
-    else:
-        lts = ordered_lts(args.n or minimal_system_size(machine, params))
-        word = args.word
-    return params, lts, word
+def _machine_case(args: argparse.Namespace):
+    """Machine, coding shape and optional host system of compile-tm and crossval."""
+    machine = parse_tm(_slurp(args.tm))
+    lts = parse_lts(_slurp(args.lts)) if args.lts is not None else None
+    return machine, ReductionParams(args.k, args.c), lts
 
 
 def cmd_typecheck(args: argparse.Namespace) -> int:
@@ -143,7 +101,6 @@ def cmd_typecheck(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    config = _config(args)
     lts = parse_lts(_slurp(args.lts))
     formula = parse_formula(_slurp(args.formula))
     env, ctx = _parse_env(args.env, lts)
@@ -153,20 +110,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
         formula,
         env=env or None,
         ctx=ctx or None,
-        budget=config.budget,
+        budget=args.budget,
         stats=stats,
-        live_budget=config.space_budget,
+        live_budget=args.space_budget,
     )
     print("true" if verdict else "false")
-    if config.stats:
+    if args.stats:
         print(_stats_record(stats))
     return 0 if verdict else 1
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _config(args)
     machine = parse_tm(_slurp(args.tm))
-    result = run(machine, args.word, config.max_steps)
+    result = run(machine, args.word, args.max_steps)
     print("steps: %d" % result.steps)
     print("space: %d" % result.space)
     if result.looped:
@@ -175,19 +131,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_compile_tm(args: argparse.Namespace) -> int:
-    config = _config(args)
-    machine = parse_tm(_slurp(args.tm))
-    params, lts, word = _coding_setup(args, machine)
-    ctx = CodingContext(lts, machine, params)
-    _emit(format_formula(build_machine_formula(ctx, word)), config.output)
+    machine, params, lts = _machine_case(args)
+    _, ctx, word = resolve_case(machine, params, lts, args.word, args.n)
+    _emit(format_formula(build_machine_formula(ctx, word)), args.output)
     return 0
 
 
 def cmd_crossval(args: argparse.Namespace) -> int:
-    config = _config(args)
-    machine = parse_tm(_slurp(args.tm))
-    params = ReductionParams(args.k, args.c)
-    lts = parse_lts(_slurp(args.lts)) if args.lts is not None else None
+    machine, params, lts = _machine_case(args)
     stats = EvalStats()
     report = crossval(
         machine,
@@ -196,8 +147,8 @@ def cmd_crossval(args: argparse.Namespace) -> int:
         word=args.word,
         n=args.n,
         check_stages=args.stages,
-        budget=config.budget,
-        max_steps=config.max_steps,
+        budget=args.budget,
+        max_steps=args.max_steps,
         stats=stats,
     )
     machine_says = "accept" if report.machine_accepted else "reject"
@@ -213,7 +164,7 @@ def cmd_crossval(args: argparse.Namespace) -> int:
         )
         if report.first_mismatch is not None:
             print("first mismatch at stage %d" % report.first_mismatch)
-    if config.stats:
+    if args.stats:
         print(json.dumps(report.to_record()))
         print(_stats_record(stats))
     return 0 if report.agree else 1
@@ -302,16 +253,15 @@ def run_cli(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, TypingError, ConformanceError, NotAnEncoding) as exc:
+    # PreconditionError and NotAnEncoding are ValueErrors
+    except (ParseError, TypingError, ConformanceError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (PreconditionError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except (BudgetError, RecursionError, MemoryError) as exc:
+    except RecursionError as exc:
+        print("budget: recursion depth limit of %d reached: %s"
+              % (sys.getrecursionlimit(), exc), file=sys.stderr)
+        return EXIT_BUDGET
+    except (BudgetError, MemoryError) as exc:
         print("budget: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
 

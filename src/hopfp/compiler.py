@@ -24,14 +24,13 @@ from .domains import (
     DEFAULT_ENUM_BUDGET,
     Domain,
     SetV,
-    State,
     Value,
     canonical_index,
     domain_size,
     index_to_value,
     make_set,
 )
-from .evaluator import EvalStats, compile_formula, evaluate, pfp_iterate
+from .evaluator import EvalStats, _iter_members, compile_formula
 from .lts import Lts, order_ranks, ordered_lts
 from .logic import (
     GROUND,
@@ -96,11 +95,9 @@ class ReductionParams:
             raise ValueError("width must be positive")
 
 
-def type_tower(params: ReductionParams, n: int) -> tuple[Type, Type, int]:
-    """Position type, configuration member type and cell count for size n."""
-    pos = TowerSpec(params.c, params.k + 1).value_type
-    member = Compound((GROUND, pos, pos, GROUND))
-    return pos, member, domain_size(Domain(pos, n))
+def minimal_system_size(machine: TmSpec, params: ReductionParams) -> int:
+    """Fewest states a host system needs for this machine and shape."""
+    return max(len(machine.states), len(machine.tape_alphabet), params.c)
 
 
 @dataclass(frozen=True)
@@ -119,7 +116,7 @@ class CodingContext:
     def __post_init__(self) -> None:
         n = self.lts.n
         m = self.machine
-        need = max(len(m.states), len(m.tape_alphabet), self.params.c)
+        need = minimal_system_size(m, self.params)
         if n < need:
             raise PreconditionError(
                 "system has %d states but the coding needs at least %d, the "
@@ -265,12 +262,7 @@ def decode_configuration(ctx: CodingContext, v: Value) -> Configuration:
     when the value is not even of the configuration set type.
     """
     mask = canonical_index(Domain(ctx.set_type, ctx.n), v)
-    members = []
-    while mask:
-        low = mask & -mask
-        members.append(low.bit_length() - 1)
-        mask ^= low
-    return decode_stage(ctx, members)
+    return decode_stage(ctx, _iter_members(mask))
 
 
 # -- formula builders -------------------------------------------------------
@@ -428,8 +420,7 @@ def build_trans(ctx: CodingContext) -> Formula:
         ]
         + blocks
     )
-    types = (GROUND, ctx.pos_type, ctx.pos_type, GROUND)
-    return exists_all(list(zip(WITNESS_VARS, types)), body)
+    return exists_all(list(zip(WITNESS_VARS, ctx.member_type.parts)), body)
 
 
 def build_stage_formula(ctx: CodingContext, word: str) -> Formula:
@@ -441,10 +432,9 @@ def build_stage_formula(ctx: CodingContext, word: str) -> Formula:
     through their self loop rules, freezing the iteration.
     """
     supply = NameSupply(taken=_taken())
-    types = (GROUND, ctx.pos_type, ctx.pos_type, GROUND)
     probe = [supply.fresh("w") for _ in range(4)]
     # built as a negated existential so evaluation probes one member
-    empty = Not(exists_all(list(zip(probe, types)), Apply(SET_VAR, tuple(probe))))
+    empty = Not(exists_all(list(zip(probe, ctx.member_type.parts)), Apply(SET_VAR, tuple(probe))))
     return Or(build_trans(ctx), and_(empty, build_init(ctx, word)))
 
 
@@ -458,11 +448,10 @@ def build_machine_formula(ctx: CodingContext, word: str) -> Formula:
     supply = NameSupply(taken=_taken())
     yq = TUPLE_VARS[0]
     accept = _code_eq(ctx, yq, ctx.machine.state_index(ctx.machine.accept), supply)
-    types = (GROUND, ctx.pos_type, ctx.pos_type, GROUND)
     return and_(
         build_total_order_axiom(),
         exists_all(
-            list(zip(TUPLE_VARS, types)),
+            list(zip(TUPLE_VARS, ctx.member_type.parts)),
             and_(accept, build_stage_fixpoint(ctx, word)),
         ),
     )
@@ -483,26 +472,12 @@ def stage_image(
         ctx.lts, build_stage_formula(ctx, word), ctx.declarations(), budget
     )
     member = Domain(ctx.member_type, ctx.n)
-    pos = Domain(ctx.pos_type, ctx.n)
-    current = make_set(index_to_value(member, i) for i in members)
-    pos_vals = [index_to_value(pos, i) for i in range(ctx.cells)]
-    yq, hd, cell, ys = TUPLE_VARS
+    env = {SET_VAR: make_set(index_to_value(member, i) for i in members)}
     out = []
-    i = 0
-    for q in range(ctx.n):
-        for h in range(ctx.cells):
-            for j in range(ctx.cells):
-                for g in range(ctx.n):
-                    env = {
-                        SET_VAR: current,
-                        yq: State(q),
-                        hd: pos_vals[h],
-                        cell: pos_vals[j],
-                        ys: State(g),
-                    }
-                    if compiled(env):
-                        out.append(i)
-                    i += 1
+    for i in range(ctx.tuple_space):
+        env.update(zip(TUPLE_VARS, index_to_value(member, i).items))
+        if compiled(env):
+            out.append(i)
     return frozenset(out)
 
 
@@ -536,9 +511,29 @@ class CrossvalReport:
         return asdict(self)
 
 
-def minimal_system_size(machine: TmSpec, params: ReductionParams) -> int:
-    """Fewest states a host system needs for this machine and shape."""
-    return max(len(machine.states), len(machine.tape_alphabet), params.c)
+def resolve_case(
+    machine: TmSpec,
+    params: ReductionParams,
+    lts: Optional[Lts] = None,
+    word: Optional[str] = None,
+    n: Optional[int] = None,
+) -> tuple[str, CodingContext, str]:
+    """Mode, coding and input word of one machine/system case.
+
+    Encoded mode (no word given) runs the machine on the text encoding
+    of the given system.  Synthetic mode takes the word as given and,
+    when no system is supplied, builds a plain ordered one of the
+    requested or minimal suitable size.
+    """
+    if word is None:
+        if lts is None:
+            raise ValueError("encoded mode needs a system to encode")
+        mode, word = "encoded", encode_lts(lts)
+    else:
+        mode = "synthetic"
+    if lts is None:
+        lts = ordered_lts(n if n is not None else minimal_system_size(machine, params))
+    return mode, CodingContext(lts, machine, params), word
 
 
 def crossval(
@@ -554,31 +549,20 @@ def crossval(
 ) -> CrossvalReport:
     """Run formula and simulator on one case and compare.
 
-    Encoded mode (no word given) runs the machine on the text encoding
-    of the given system.  Synthetic mode takes the word as given and,
-    when no system is supplied, builds a plain ordered one of the
-    requested or minimal suitable size.  With check_stages the fixpoint
-    is iterated a second time and every stage is compared against the
-    corresponding simulator configuration.
+    The case is set up by resolve_case.  With check_stages every stage
+    of the fixpoint, as traced by the evaluation of the formula itself,
+    is compared against the corresponding simulator configuration.
     """
-    if word is None:
-        if lts is None:
-            raise ValueError("encoded mode needs a system to encode")
-        mode, word = "encoded", encode_lts(lts)
-    else:
-        mode = "synthetic"
-    if lts is None:
-        size = n if n is not None else minimal_system_size(machine, params)
-        lts = ordered_lts(size, (), ())
-    ctx = CodingContext(lts, machine, params)
+    mode, ctx, word = resolve_case(machine, params, lts, word, n)
     result = run(machine, word, max_steps)
     if result.space > ctx.cells:
         raise PreconditionError(
             "the run uses %d cells but the coding provides %d" % (result.space, ctx.cells)
         )
-    formula_accepted = evaluate(
-        lts, build_machine_formula(ctx, word), budget=budget, stats=stats
+    compiled = compile_formula(
+        ctx.lts, build_machine_formula(ctx, word), budget=budget, stats=stats
     )
+    formula_accepted = compiled()
     fields = dict(
         mode=mode,
         word=word,
@@ -595,27 +579,25 @@ def crossval(
         agree=formula_accepted == result.accepted,
     )
     if check_stages:
-        trace = pfp_iterate(lts, build_stage_fixpoint(ctx, word), budget=budget, stats=stats)
-        matches = True
-        first_mismatch = None
+        # the order axiom holds on every coding host, so the evaluation
+        # reached the formula's one fixpoint, and ran it exactly once
+        # since its body has no free variables but the set and arguments
+        trace = compiled.traces[-1]
         configs = list(iter_run(machine, word, max_steps))
-        for i, cfg in enumerate(configs):
-            ok = i + 1 < len(trace.stages) and trace.stages[i + 1] == encode_stage(ctx, cfg)
-            if not ok:
-                matches, first_mismatch = False, i + 1
-                break
-        if result.looped:
+        first_mismatch = next(
+            (i + 1 for i, cfg in enumerate(configs)
+             if i + 1 >= len(trace.stages) or trace.stages[i + 1] != encode_stage(ctx, cfg)),
+            None,
+        )
+        if not result.looped:
+            want = ("stabilized", result.steps + 1)
+        else:
             # a loop that repeats one configuration freezes the stage
             # sequence there; longer loops make the stages cycle
             entered = configs.index(configs[-1])
-            if result.steps - entered == 1:
-                matches = matches and trace.outcome == "stabilized"
-                matches = matches and trace.stabilized_at == entered + 1
-            else:
-                matches = matches and trace.outcome == "no-fixpoint"
-        else:
-            matches = matches and trace.outcome == "stabilized"
-            matches = matches and trace.stabilized_at == result.steps + 1
+            loop = result.steps - entered
+            want = ("stabilized", entered + 1) if loop == 1 else ("no-fixpoint", None)
+        matches = first_mismatch is None and (trace.outcome, trace.stabilized_at) == want
         fields.update(
             stage_count=len(trace.stages),
             pfp_outcome=trace.outcome,

@@ -13,17 +13,20 @@ ground value is a small integer, a tuple is its mixed-radix index, and a
 set is its characteristic bit mask, so set membership is a single shift.
 Fixpoint stages are kept as frozensets of member indices.  Formulas are
 compiled once per call into closures; results of small stable
-subformulas are memoized for the duration of the call, and a fixpoint
-limit is computed once per surrounding environment and shared across
-outer quantifier bindings.  All of this is invisible in the results:
-the semantics is exactly the structural one.
+subformulas are memoized for the duration of the call, and each fixpoint
+is iterated once per surrounding environment.  The session keeps the
+whole stage trace of that run, serves the limit to every outer
+quantifier binding from it, and hands the traces out afterwards (see
+CompiledFormula.traces), so nothing has to iterate a fixpoint again to
+inspect its stages.  All of this is invisible in the results: the
+semantics is exactly the structural one.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Callable, Mapping, Optional
 
 from .domains import (
@@ -44,6 +47,7 @@ from .logic import (
     Compound,
     Exists,
     Formula,
+    FreeVars,
     Not,
     Or,
     Pfp,
@@ -52,9 +56,9 @@ from .logic import (
     Tru,
     Type,
     TypingContext,
+    allow_deep_recursion,
     applied_arg_types,
     check_well_formed,
-    free_vars,
 )
 from .lts import Lts
 
@@ -129,10 +133,11 @@ class _Session:
         self.live_budget = float("inf") if live_budget is None else live_budget
         self.stats = stats
         self.memo: dict = {}
+        # PfpTrace of each fixpoint run, keyed by binder and environment
         self.limits: dict = {}
         self.plans: dict = {}
         self.cards: dict = {}
-        self.fvs: dict = {}
+        self.free_vars = FreeVars()
         self.code: dict = {}
         self.live = 0
         n = self.n
@@ -163,26 +168,6 @@ class _Session:
             self.cards[t] = c
         return c
 
-    def fv(self, f: Formula) -> frozenset:
-        # cached by node identity so deep builder output stays linear
-        got = self.fvs.get(id(f))
-        if got is not None:
-            return got
-        if isinstance(f, (Tru, Prop, Act, Apply)):
-            got = free_vars(f)
-        elif isinstance(f, Not):
-            got = self.fv(f.sub)
-        elif isinstance(f, Or):
-            got = self.fv(f.left) | self.fv(f.right)
-        elif isinstance(f, Exists):
-            got = self.fv(f.body) - {f.var}
-        elif isinstance(f, Pfp):
-            got = (self.fv(f.body) - {f.var}) | set(f.args)
-        else:
-            raise TypeError("not a formula: %r" % (f,))
-        self.fvs[id(f)] = got
-        return got
-
     # -- compilation ------------------------------------------------------
 
     def compile(self, f: Formula, pfp_scope: frozenset = frozenset()) -> Callable:
@@ -193,7 +178,7 @@ class _Session:
         if got is not None and got[0] is f:
             return got[1]
         clo = self._compile(f, pfp_scope)
-        fv = self.fv(f)
+        fv = self.free_vars(f)
         if (
             isinstance(f, (Not, Or, Exists))
             and len(fv) <= _MEMO_MAX_VARS
@@ -364,16 +349,13 @@ class _Session:
                     return True
                 return False
             return any_member_cl
-        if isinstance(guard.elem, Compound):
-            radices = tuple(self.card(p) for p in guard.elem.parts)
-        else:
-            radices = (self.card(guard.elem),)
+        radices = tuple(map(self.card, applied_arg_types(SetOf(guard.elem))))
         # conjuncts over the chain variables alone are evaluated once per
         # set value and the surviving member tuples are cached; conjuncts
         # that also look at outer bindings run per call as usual
         name_set = frozenset(names)
-        local = [self.compile(c, pfp_scope) for c in rest if self.fv(c) <= name_set]
-        outer = [self.compile(c, pfp_scope) for c in rest if not (self.fv(c) <= name_set)]
+        local = [self.compile(c, pfp_scope) for c in rest if self.free_vars(c) <= name_set]
+        outer = [self.compile(c, pfp_scope) for c in rest if not (self.free_vars(c) <= name_set)]
         key0 = id(f)
         plans = self.plans
         def member_cl(env: dict) -> bool:
@@ -401,7 +383,7 @@ class _Session:
                 sess.grow(len(passing))
             if not outer:
                 return bool(passing)
-            olds = [env.get(v, _MISSING) for v in names]
+            saved = {v: env.get(v, _MISSING) for v in names}
             sess.grow(arity + 1)
             try:
                 for comps in passing:
@@ -414,11 +396,7 @@ class _Session:
                         return True
                 return False
             finally:
-                for v, old in zip(names, olds):
-                    if old is _MISSING:
-                        env.pop(v, None)
-                    else:
-                        env[v] = old
+                _restore(env, saved)
                 sess.shrink(arity + 1)
         return member_cl
 
@@ -428,12 +406,8 @@ class _Session:
         stats = self.stats
         assert isinstance(f.vtype, SetOf)
         elem = f.vtype.elem
-        comp_types = applied_arg_types(f.vtype)
-        comp_cards = tuple(self.card(t) for t in comp_types)
-        space = 1
-        for c in comp_cards:
-            space *= c
-        residual = tuple(sorted(self.fv(f.body) - {f.var} - set(f.args)))
+        comp_cards = tuple(map(self.card, applied_arg_types(f.vtype)))
+        residual = tuple(sorted(self.free_vars(f.body) - {f.var} - set(f.args)))
         body = self.compile(f.body, pfp_scope | {f.var})
         combine = self._combiner(elem, f.args)
         key0 = id(f)
@@ -441,17 +415,16 @@ class _Session:
         def pfp_cl(env: dict) -> bool:
             stats.subformula_evals += 1
             key = (key0,) + tuple(env[v] for v in residual)
-            limit = sess.limits.get(key)
-            if limit is None:
-                limit = sess.run_pfp(f, body, comp_cards, space, env).limit()
-                sess.limits[key] = limit
-                sess.grow(len(limit))
-            return combine(env) in limit
+            trace = sess.limits.get(key)
+            if trace is None:
+                trace = sess.run_pfp(f, body, comp_cards, env)
+                sess.limits[key] = trace
+                sess.grow(len(trace.limit()))
+            return combine(env) in trace.limit()
         return pfp_cl
 
-    def run_pfp(
-        self, f: Pfp, body: Callable, comp_cards: tuple, space: int, env: dict
-    ) -> PfpTrace:
+    def run_pfp(self, f: Pfp, body: Callable, comp_cards: tuple, env: dict) -> PfpTrace:
+        space = prod(comp_cards)
         if space > self.budget:
             raise BudgetError(
                 "fixpoint over a tuple space of size %d exceeds budget %d" % (space, self.budget)
@@ -459,8 +432,7 @@ class _Session:
         stats = self.stats
         names = f.args
         var = f.var
-        olds = [env.get(v, _MISSING) for v in names]
-        old_x = env.get(var, _MISSING)
+        saved = {v: env.get(v, _MISSING) for v in names + (var,)}
         self.grow(len(names) + 2)
         stored = 0
         try:
@@ -482,25 +454,15 @@ class _Session:
                 nxt = frozenset(members)
                 self.grow(len(nxt))
                 stored += len(nxt)
+                stages.append(nxt)
                 if nxt == prev:
-                    stages.append(nxt)
                     return PfpTrace(tuple(stages), "stabilized", seen[prev], f.vtype.elem, self.n)
                 if nxt in seen:
-                    stages.append(nxt)
                     return PfpTrace(tuple(stages), "no-fixpoint", None, f.vtype.elem, self.n)
-                seen[nxt] = len(stages)
-                stages.append(nxt)
+                seen[nxt] = len(stages) - 1
                 prev = nxt
         finally:
-            for v, old in zip(names, olds):
-                if old is _MISSING:
-                    env.pop(v, None)
-                else:
-                    env[v] = old
-            if old_x is _MISSING:
-                env.pop(var, None)
-            else:
-                env[var] = old_x
+            _restore(env, saved)
             self.shrink(len(names) + 2 + stored)
 
 
@@ -516,6 +478,15 @@ def _flatten_and(f: Formula) -> list:
     return [f]
 
 
+def _restore(env: dict, saved: dict) -> None:
+    """Put back the bindings a binder saved before rebinding its names."""
+    for v, old in saved.items():
+        if old is _MISSING:
+            env.pop(v, None)
+        else:
+            env[v] = old
+
+
 def _iter_members(x):
     if type(x) is int:
         while x:
@@ -526,35 +497,10 @@ def _iter_members(x):
         yield from x
 
 
-def _prepare(
-    lts: Lts,
-    f: Formula,
-    env: Optional[Environment],
-    ctx: Optional[TypingContext],
-    budget: int,
-    stats: Optional[EvalStats],
-    live_budget: Optional[int] = None,
-):
-    if sys.getrecursionlimit() < 20000:
-        sys.setrecursionlimit(20000)
-    checked = check_well_formed(f, ctx)
-    stats = stats if stats is not None else EvalStats()
-    session = _Session(lts, budget, stats, live_budget)
-    ienv: dict = {}
-    declared = dict(ctx) if ctx else {}
-    for var, value in (env or {}).items():
-        t = declared.get(var)
-        if t is None:
-            raise ConformanceError("binding for undeclared variable %r" % var)
-        ienv[var] = canonical_index(Domain(t, lts.n), value)
-    session.grow(len(ienv))
-    return checked, session, ienv
-
-
 class CompiledFormula:
     """A formula compiled once against a system and queried many times.
 
-    Memo tables and fixpoint limits persist between calls, so sweeping a
+    Memo tables and fixpoint traces persist between calls, so sweeping a
     family of environments over the same formula costs a dictionary
     lookup per subformula instead of a recompilation per query.  Use
     compile_formula to construct one.
@@ -563,13 +509,22 @@ class CompiledFormula:
     def __init__(self, session: _Session, checked: Formula, declared: dict) -> None:
         self._session = session
         self._declared = declared
-        self._free = tuple(sorted(session.fv(checked)))
+        self._free = tuple(sorted(session.free_vars(checked)))
         self._root = session.compile(checked)
         self.formula = checked
 
     @property
     def stats(self) -> EvalStats:
         return self._session.stats
+
+    @property
+    def traces(self) -> tuple:
+        """PfpTrace of every fixpoint run so far, in the order the runs ended.
+
+        A fixpoint runs once per binding of its body's other free
+        variables; a run that needs an inner fixpoint ends after it.
+        """
+        return tuple(self._session.limits.values())
 
     def __call__(self, env: Optional[Environment] = None) -> bool:
         session = self._session
@@ -598,8 +553,7 @@ def compile_formula(
     live_budget: Optional[int] = None,
 ) -> CompiledFormula:
     """Type check the formula and prepare it for repeated evaluation."""
-    if sys.getrecursionlimit() < 20000:
-        sys.setrecursionlimit(20000)
+    allow_deep_recursion()
     checked = check_well_formed(f, ctx)
     stats = stats if stats is not None else EvalStats()
     session = _Session(lts, budget, stats, live_budget)
@@ -637,23 +591,22 @@ def pfp_iterate(
 ) -> PfpTrace:
     """Run one fixpoint iteration to its outcome and return the trace.
 
-    The argument variables need no bindings or declarations: their types
-    are forced by the binder's type and the stage function rebinds them
-    for every candidate tuple.  Other free variables of the body must be
-    declared and bound as for evaluate.
+    The binder is compiled and evaluated like any formula, and the trace
+    is the one that run records.  The argument variables need no
+    bindings or declarations: their types are forced by the binder's
+    type and the stage function rebinds them for every candidate tuple.
+    Other free variables of the body must be declared and bound as for
+    evaluate.
     """
+    if not isinstance(f, Pfp):
+        raise TypeError("not a fixpoint binder: %r" % (f,))
     declared = dict(ctx) if ctx else {}
-    if isinstance(f, Pfp) and isinstance(f.vtype, SetOf):
+    bound = dict(env) if env else {}
+    if isinstance(f.vtype, SetOf):
         for v, t in zip(f.args, applied_arg_types(f.vtype)):
             declared.setdefault(v, t)
-    checked, session, ienv = _prepare(lts, f, env, declared, budget, stats, live_budget)
-    assert isinstance(checked, Pfp)
-    for var in sorted(session.fv(checked.body) - {checked.var} - set(checked.args)):
-        if var not in ienv:
-            raise ConformanceError("free variable %r has no binding" % var)
-    comp_cards = tuple(session.card(t) for t in applied_arg_types(checked.vtype))
-    space = 1
-    for c in comp_cards:
-        space *= c
-    body = session.compile(checked.body, frozenset((checked.var,)))
-    return session.run_pfp(checked, body, comp_cards, space, ienv)
+            # any value serves: the stage function rebinds the arguments
+            bound.setdefault(v, index_to_value(Domain(declared[v], lts.n), 0))
+    compiled = compile_formula(lts, f, declared, budget, stats, live_budget)
+    compiled(bound)
+    return compiled.traces[-1]

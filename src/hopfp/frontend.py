@@ -23,7 +23,6 @@ source span with byte offsets and line and column numbers.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
@@ -44,6 +43,7 @@ from .logic import (
     SetOf,
     Tru,
     Type,
+    allow_deep_recursion,
     conj,
     disj,
     exists_all,
@@ -68,11 +68,6 @@ class ParseError(Exception):
         if span is not None:
             message = "line %d, col %d: %s" % (span.line, span.col, message)
         super().__init__(message)
-
-
-def _room() -> None:
-    if sys.getrecursionlimit() < 20000:
-        sys.setrecursionlimit(20000)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +182,7 @@ def _type(node: Node) -> Type:
 
 
 def parse_type(text: str) -> Type:
-    _room()
+    allow_deep_recursion()
     return _type(_read_one(text, "a type"))
 
 
@@ -277,13 +272,13 @@ def _formula(node: Node) -> Formula:
 
 
 def parse_formula(text: str) -> Formula:
-    _room()
+    allow_deep_recursion()
     return _formula(_read_one(text, "a formula"))
 
 
 def format_formula(f: Formula) -> str:
     """Core-shape text; parse_formula(format_formula(f)) == f."""
-    _room()
+    allow_deep_recursion()
     if isinstance(f, Tru):
         return "tt"
     if isinstance(f, Prop):
@@ -330,7 +325,7 @@ def _value(node: Node, lts: Lts) -> Value:
 
 def parse_value(text: str, lts: Lts) -> Value:
     """Value literal: a state name, (tuple ...) or (set ...)."""
-    _room()
+    allow_deep_recursion()
     return _value(_read_one(text, "a value"), lts)
 
 

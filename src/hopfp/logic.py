@@ -14,12 +14,23 @@ to the core at construction time.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
 
 class TypingError(Exception):
     """A formula violates the well-formedness rules."""
+
+
+# formulas are walked recursively, one frame per nesting level
+RECURSION_LIMIT = 20000
+
+
+def allow_deep_recursion() -> None:
+    """Raise the interpreter's recursion limit to RECURSION_LIMIT if lower."""
+    if sys.getrecursionlimit() < RECURSION_LIMIT:
+        sys.setrecursionlimit(RECURSION_LIMIT)
 
 
 # ---------------------------------------------------------------------------
@@ -235,29 +246,12 @@ class _Checker:
 
     def __init__(self) -> None:
         self.done: dict = {}
-        self.fvs: dict = {}
-
-    def fv(self, f: Formula) -> frozenset:
-        got = self.fvs.get(id(f))
-        if got is not None:
-            return got
-        if isinstance(f, Not):
-            got = self.fv(f.sub)
-        elif isinstance(f, Or):
-            got = self.fv(f.left) | self.fv(f.right)
-        elif isinstance(f, Exists):
-            got = self.fv(f.body) - frozenset((f.var,))
-        elif isinstance(f, Pfp):
-            got = (self.fv(f.body) - frozenset((f.var,))) | frozenset(f.args)
-        else:
-            got = free_vars(f)
-        self.fvs[id(f)] = got
-        return got
+        self.free_vars = FreeVars()
 
     def check(self, f: Formula, scope: dict[str, Type]) -> Formula:
         # only the types of the node's own free variables matter, so the
         # cache key ignores whatever else happens to be in scope
-        sig = tuple(sorted((v, scope[v]) for v in self.fv(f) if v in scope))
+        sig = tuple(sorted((v, scope[v]) for v in self.free_vars(f) if v in scope))
         key = (id(f), sig)
         hit = self.done.get(key)
         if hit is None:
@@ -320,25 +314,47 @@ class _Checker:
         raise TypeError("not a formula: %r" % (f,))
 
 
+class FreeVars:
+    """Free-variable walker that visits each distinct node object once.
+
+    Builder output shares subterms heavily, so results are memoized by
+    node identity, which keeps a walk over a shared DAG linear in its
+    distinct nodes.  An id is only unique while its node lives, so a
+    walker must not outlive the formulas it has walked.
+    """
+
+    def __init__(self) -> None:
+        self._memo: dict = {}
+
+    def __call__(self, f: Formula) -> frozenset[str]:
+        got = self._memo.get(id(f))
+        if got is not None:
+            return got
+        if isinstance(f, Tru):
+            got = frozenset()
+        elif isinstance(f, Prop):
+            got = frozenset((f.var,))
+        elif isinstance(f, Act):
+            got = frozenset((f.src, f.dst))
+        elif isinstance(f, Apply):
+            got = frozenset((f.head,) + f.args)
+        elif isinstance(f, Not):
+            got = self(f.sub)
+        elif isinstance(f, Or):
+            got = self(f.left) | self(f.right)
+        elif isinstance(f, Exists):
+            got = self(f.body) - {f.var}
+        elif isinstance(f, Pfp):
+            got = (self(f.body) - {f.var}) | frozenset(f.args)
+        else:
+            raise TypeError("not a formula: %r" % (f,))
+        self._memo[id(f)] = got
+        return got
+
+
 def free_vars(f: Formula) -> frozenset[str]:
     """Free variables; fixpoint argument occurrences are free."""
-    if isinstance(f, (Tru,)):
-        return frozenset()
-    if isinstance(f, Prop):
-        return frozenset((f.var,))
-    if isinstance(f, Act):
-        return frozenset((f.src, f.dst))
-    if isinstance(f, Apply):
-        return frozenset((f.head,)) | frozenset(f.args)
-    if isinstance(f, Not):
-        return free_vars(f.sub)
-    if isinstance(f, Or):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, Exists):
-        return free_vars(f.body) - frozenset((f.var,))
-    if isinstance(f, Pfp):
-        return (free_vars(f.body) - frozenset((f.var,))) | frozenset(f.args)
-    raise TypeError("not a formula: %r" % (f,))
+    return FreeVars()(f)
 
 
 def formula_order(f: Formula, ctx: Optional[TypingContext] = None) -> int:

@@ -64,14 +64,18 @@ def _eval(lts: Lts, f, env: dict) -> bool:
             del env[f.var]
         return False
     if isinstance(f, Pfp):
-        limit = ref_pfp_limit(lts, f, env)
+        limit, _ = ref_pfp_limit(lts, f, env)
         member = _member_of(f.vtype.elem, [env[a] for a in f.args])
         return member in limit.members
     raise TypeError("not a formula: %r" % (f,))
 
 
-def ref_pfp_limit(lts: Lts, f: Pfp, env: dict) -> SetV:
-    """Iterate the stage function from the empty set to its outcome."""
+def ref_pfp_limit(lts: Lts, f: Pfp, env: dict) -> tuple:
+    """Iterate the stage function from the empty set to its outcome.
+
+    Returns the limit and the list of stages, from the empty set up to
+    and including the first repeated one.
+    """
     assert isinstance(f.vtype, SetOf)
     elem_domain = Domain(f.vtype.elem, lts.n)
     if isinstance(f.vtype.elem, Compound):
@@ -96,8 +100,8 @@ def ref_pfp_limit(lts: Lts, f: Pfp, env: dict) -> SetV:
     while True:
         nxt = stage(current)
         if nxt == current:
-            return current
+            return current, seen + [nxt]
         if nxt in seen:
-            return make_set([])
+            return make_set([]), seen + [nxt]
         seen.append(nxt)
         current = nxt

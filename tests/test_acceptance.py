@@ -22,7 +22,6 @@ from hopfp.compiler import (
     decode_stage,
     encode_configuration,
     encode_stage,
-    type_tower,
 )
 from hopfp.domains import (
     BudgetError,
@@ -215,8 +214,11 @@ def test_c05_stages_replay_the_run_and_stop_with_it():
     ]
     for machine, words in cases:
         for word in words:
-            rep = crossval(machine, P11, word=word, n=3, check_stages=True)
+            stats = EvalStats()
+            rep = crossval(machine, P11, word=word, n=3, check_stages=True, stats=stats)
             assert rep.cells == 8 and rep.tuple_space == 576
+            # the stages come from the evaluation's own run of the fixpoint
+            assert stats.pfp_iterations == rep.stage_count - 1
             assert rep.agree
             assert rep.stages_match
             assert rep.pfp_outcome == "stabilized"
@@ -257,7 +259,7 @@ def test_c08_encoded_mode_end_to_end():
     # encodings speaks at least four tape symbols, so no such host can
     # carry it.  The smallest geometry that fits an encoding reader and
     # its own host encoding is six states at width one.
-    assert type_tower(ReductionParams(1, 2), 3)[2] == 512
+    assert CodingContext(ordered_lts(3), M_ACC2, ReductionParams(1, 2)).cells == 512
     with pytest.raises(PreconditionError):
         CodingContext(ordered_lts(3), M_ACC4, ReductionParams(1, 2))
     with pytest.raises(PreconditionError):

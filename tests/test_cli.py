@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from hopfp.cli import CliConfig, run_cli
+from hopfp.cli import run_cli
 from hopfp.evaluator import evaluate
 from hopfp.frontend import format_lts, format_tm, parse_formula
+from hopfp.logic import RECURSION_LIMIT
 from hopfp.lts import ordered_lts
 
 from _machines import M_FIRST1, M_LOOP, M_SWEEP
@@ -230,6 +231,15 @@ def test_domain_size_examples(capsys):
     assert capsys.readouterr().out == "8\n5\n65536\n"
 
 
+def test_recursion_depth_stop_names_the_limit(files, lts_file, capsys):
+    depth = 2 * max(sys.getrecursionlimit(), RECURSION_LIMIT)
+    f = files("deep.hof", "(not " * depth + "tt" + ")" * depth)
+    assert run_cli(["typecheck", "--formula", f]) == 3
+    assert run_cli(["eval", "--lts", lts_file, "--formula", f]) == 3
+    err = capsys.readouterr().err
+    assert err.count("budget: recursion depth limit of %d reached" % sys.getrecursionlimit()) == 2
+
+
 def test_domain_size_budget(capsys):
     t = "(set (set (set (set (set o)))))"
     assert run_cli(["domain-size", "--type", t, "--n", "3"]) == 3
@@ -244,14 +254,6 @@ def test_usage_errors_exit_two():
         with pytest.raises(SystemExit) as err:
             run_cli(argv)
         assert err.value.code == 2
-
-
-def test_config_validates_budgets():
-    with pytest.raises(ValueError):
-        CliConfig(budget=0)
-    with pytest.raises(ValueError):
-        CliConfig(max_steps=-3)
-    assert CliConfig().budget == 1 << 24
 
 
 def test_module_entry_point(tm_file):

@@ -22,7 +22,6 @@ from hopfp.compiler import (
     encode_configuration,
     encode_stage,
     stage_image,
-    type_tower,
 )
 from hopfp.domains import ConformanceError, Domain, SetV, State, index_to_value, make_set
 from hopfp.evaluator import compile_formula, evaluate
@@ -68,14 +67,16 @@ def _pack(ctx, quads):
 # -- geometry ---------------------------------------------------------------
 
 
-def test_type_tower_examples():
-    pos, member, cells = type_tower(P11, 3)
+def test_coding_context_geometry_examples():
+    ctx = _ctx(M_FIRST1, 3)
+    pos = ctx.pos_type
     assert pos == SetOf(GROUND)
-    assert member == Compound((GROUND, pos, pos, GROUND))
-    assert cells == 8
-    assert type_tower(ReductionParams(2, 1), 2)[2] == 16
-    assert type_tower(ReductionParams(1, 2), 2)[0] == SetOf(Compound((GROUND, GROUND)))
-    assert type_tower(ReductionParams(1, 2), 2)[2] == 16
+    assert ctx.member_type == Compound((GROUND, pos, pos, GROUND))
+    assert ctx.cells == 8
+    assert _ctx(M_ACC2, 2, ReductionParams(2, 1)).cells == 16
+    wide = _ctx(M_ACC2, 2, ReductionParams(1, 2))
+    assert wide.pos_type == SetOf(Compound((GROUND, GROUND)))
+    assert wide.cells == 16
 
 
 def test_params_must_be_positive():

@@ -20,7 +20,7 @@ from hopfp.domains import (
     State,
     make_set,
 )
-from hopfp.evaluator import EvalStats, evaluate, pfp_iterate
+from hopfp.evaluator import EvalStats, compile_formula, evaluate, pfp_iterate
 from hopfp.logic import (
     GROUND as G,
     TT,
@@ -175,6 +175,31 @@ class TestPfp:
             tr = pfp_iterate(T, pf, env={"z": State(z)}, ctx=ctx)
             assert tr.limit() == frozenset(range(z))
 
+    def test_long_stage_cycle_has_no_fixpoint(self):
+        # X = {i} steps to {i + 1 mod 3}: the stages cycle through three sets
+        T = lab_lts()
+        start = and_(Not(Exists("y", G, Apply("X", ("y",)))), Prop("p", "x"))
+        step = Exists("y", G, and_(Apply("X", ("y",)), Act("a", "y", "x")))
+        pf = Pfp("X", SetOf(G), Or(start, step), ("x",))
+        tr = pfp_iterate(T, pf)
+        assert tr.stages == (frozenset(), {2}, {0}, {1}, {2})
+        assert tr.outcome == "no-fixpoint"
+        assert tr.limit() == frozenset()
+        assert evaluate(T, Exists("x", G, pf)) is False
+
+    def test_compiled_traces_per_outer_binding(self):
+        # the limit depends on z, so each binding of z runs its own iteration
+        T = lab_lts()
+        pf = Pfp("X", SetOf(G), Or(Act("<", "x", "z"),
+                 Exists("y", G, and_(Apply("X", ("y",)), Act("a", "y", "x")))), ("x",))
+        # only z = s2 carries p, so every z is tried
+        compiled = compile_formula(T, Exists("z", G, Exists("x", G, and_(pf, Prop("p", "z")))))
+        assert compiled() is True
+        runs = compiled.traces
+        assert len(runs) == 3
+        for z, tr in enumerate(runs):
+            assert tr == pfp_iterate(T, pf, env={"z": State(z)}, ctx={"z": G})
+
     def test_args_need_no_outer_binding_in_iterate(self):
         T = lab_lts()
         pf = Pfp("X", SetOf(GG), Act("a", "u", "v"), ("u", "v"))
@@ -229,10 +254,10 @@ def test_differential_pfp_traces(seed):
     ctx = {"g2": G}
     env = {"g2": State(0)}
     checked = check_well_formed(pf, {"g1": G, "g2": G})
-    ref_limit = ref_pfp_limit(T, checked, {"g2": State(0)})
+    ref_limit, ref_stages = ref_pfp_limit(T, checked, {"g2": State(0)})
     tr = pfp_iterate(T, pf, env=env, ctx=ctx)
-    got = make_set([State(i) for i in tr.limit()])
-    assert got == ref_limit
+    assert [tr.stage_value(i) for i in range(len(tr.stages))] == ref_stages
+    assert make_set([State(i) for i in tr.limit()]) == ref_limit
 
 
 def test_member_guarded_chain_matches_reference():
