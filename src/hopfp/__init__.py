@@ -73,7 +73,6 @@ from .logic import (
     check_well_formed,
     formula_order,
     formula_size,
-    free_vars,
 )
 from .lts import Lts, ordered_lts
 from .machine import Configuration, RunResult, TmSpec, encode_lts, iter_run, run

@@ -47,7 +47,6 @@ from .logic import (
     Compound,
     Exists,
     Formula,
-    FreeVars,
     Not,
     Or,
     Pfp,
@@ -137,7 +136,6 @@ class _Session:
         self.limits: dict = {}
         self.plans: dict = {}
         self.cards: dict = {}
-        self.free_vars = FreeVars()
         self.code: dict = {}
         self.live = 0
         n = self.n
@@ -171,25 +169,23 @@ class _Session:
     # -- compilation ------------------------------------------------------
 
     def compile(self, f: Formula, pfp_scope: frozenset = frozenset()) -> Callable:
-        # shared subterms compile once; checked trees keep builder sharing.
-        # the entry pins the node so its id cannot be recycled under us
-        ckey = (id(f), pfp_scope)
+        # shared subterms compile once
+        ckey = (f, pfp_scope)
         got = self.code.get(ckey)
-        if got is not None and got[0] is f:
-            return got[1]
+        if got is not None:
+            return got
         clo = self._compile(f, pfp_scope)
-        fv = self.free_vars(f)
+        fv = f.free
         if (
             isinstance(f, (Not, Or, Exists))
             and len(fv) <= _MEMO_MAX_VARS
             and not (fv & pfp_scope)
         ):
-            key0 = id(f)
             names = tuple(sorted(fv))
             memo = self.memo
             inner = clo
             def memoized(env: dict) -> bool:
-                key = (key0,) + tuple(env[v] for v in names)
+                key = (f,) + tuple(env[v] for v in names)
                 hit = memo.get(key)
                 if hit is None:
                     hit = inner(env)
@@ -197,7 +193,7 @@ class _Session:
                         memo[key] = hit
                 return hit
             clo = memoized
-        self.code[ckey] = (f, clo)
+        self.code[ckey] = clo
         return clo
 
     def _compile(self, f: Formula, pfp_scope: frozenset) -> Callable:
@@ -354,14 +350,13 @@ class _Session:
         # set value and the surviving member tuples are cached; conjuncts
         # that also look at outer bindings run per call as usual
         name_set = frozenset(names)
-        local = [self.compile(c, pfp_scope) for c in rest if self.free_vars(c) <= name_set]
-        outer = [self.compile(c, pfp_scope) for c in rest if not (self.free_vars(c) <= name_set)]
-        key0 = id(f)
+        local = [self.compile(c, pfp_scope) for c in rest if c.free <= name_set]
+        outer = [self.compile(c, pfp_scope) for c in rest if not (c.free <= name_set)]
         plans = self.plans
         def member_cl(env: dict) -> bool:
             stats.subformula_evals += 1
             x = env[head]
-            passing = plans.get((key0, x))
+            passing = plans.get((f, x))
             if passing is None:
                 kept = []
                 tmp: dict = {}
@@ -379,7 +374,7 @@ class _Session:
                     else:
                         kept.append(tuple(comps))
                 passing = tuple(kept)
-                plans[(key0, x)] = passing
+                plans[(f, x)] = passing
                 sess.grow(len(passing))
             if not outer:
                 return bool(passing)
@@ -407,14 +402,13 @@ class _Session:
         assert isinstance(f.vtype, SetOf)
         elem = f.vtype.elem
         comp_cards = tuple(map(self.card, applied_arg_types(f.vtype)))
-        residual = tuple(sorted(self.free_vars(f.body) - {f.var} - set(f.args)))
+        residual = tuple(sorted(f.free - set(f.args)))
         body = self.compile(f.body, pfp_scope | {f.var})
         combine = self._combiner(elem, f.args)
-        key0 = id(f)
         sess = self
         def pfp_cl(env: dict) -> bool:
             stats.subformula_evals += 1
-            key = (key0,) + tuple(env[v] for v in residual)
+            key = (f,) + tuple(env[v] for v in residual)
             trace = sess.limits.get(key)
             if trace is None:
                 trace = sess.run_pfp(f, body, comp_cards, env)
@@ -509,7 +503,7 @@ class CompiledFormula:
     def __init__(self, session: _Session, checked: Formula, declared: dict) -> None:
         self._session = session
         self._declared = declared
-        self._free = tuple(sorted(session.free_vars(checked)))
+        self._free = tuple(sorted(checked.free))
         self._root = session.compile(checked)
         self.formula = checked
 

@@ -12,9 +12,9 @@ Formulas are written as s-expressions:
 
 Shorthands normalize while reading: ff, and, imp and forall become the
 core connectives, multi-binder blocks become nested single binders.
-The printer emits only the core, one binder per exists, so reading its
-output gives back the same tree, and printing a text that is already in
-core shape reproduces it up to whitespace.
+The printer emits only the core, one binder per exists, and nodes are
+interned (see logic), so parse_formula(format_formula(f)) is f; a text
+already in core shape prints back the same up to whitespace.
 
 Systems and machines use a line format with "key: value" entries and
 ";" comments; see parse_lts and parse_tm.  Parse failures carry a
@@ -277,7 +277,7 @@ def parse_formula(text: str) -> Formula:
 
 
 def format_formula(f: Formula) -> str:
-    """Core-shape text; parse_formula(format_formula(f)) == f."""
+    """Core-shape text; parse_formula(format_formula(f)) is f for f not yet type checked."""
     allow_deep_recursion()
     if isinstance(f, Tru):
         return "tt"

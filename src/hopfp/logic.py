@@ -10,11 +10,18 @@ application of a set-typed variable to arguments, negation, disjunction,
 existential quantification and the partial-fixpoint binder.  Conjunction,
 implication, falsity and universal quantification are sugar and normalize
 to the core at construction time.
+
+Formula nodes are hash-consed: constructing a node whose class and fields
+match a live node returns that node, so two formulas are equal exactly
+when they are the same object, and a formula built twice, or read back
+from its printed text, is one shared DAG.  Every node carries its free
+variables in its free attribute, set when it is built.
 """
 
 from __future__ import annotations
 
 import sys
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
@@ -95,53 +102,107 @@ def applied_arg_types(t: Type) -> tuple[Type, ...]:
 # ---------------------------------------------------------------------------
 # Formulas (core)
 
+# the live node of each class and fields, by weak references that drop
+# their entry when the node dies
+_NODES: dict = {}
 
-@dataclass(frozen=True)
-class Tru:
+
+class _Entry(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _drop(entry: _Entry) -> None:
+    if _NODES.get(entry.key) is entry:
+        del _NODES[entry.key]
+
+
+# the __new__ written out for each node class (see _Node)
+_NEW = """
+def __new__(cls%s):
+    key = (cls,%s)
+    entry = _NODES.get(key)
+    node = entry() if entry is not None else None
+    if node is not None:
+        return node
+    node = object.__new__(cls)%s
+    object.__setattr__(node, "free", %s)
+    entry = _NODES[key] = _Entry(node, _drop)
+    entry.key = key
+    return node
+"""
+
+
+class _Node:
+    """Interned base of the formula nodes: constructing a node with the class
+    and fields of a live one returns it, so == and hash are identity.  Each
+    class's __new__ is written out from its fields and the free-variable
+    expression in its header, as dataclass writes __init__; a generic
+    __new__ taking *fields made a new node cost twice as much."""
+
+    free: frozenset  # free variables, set at construction
+
+    def __init_subclass__(cls, free: str, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        names = tuple(cls.__dict__.get("__annotations__", ()))
+        params = "".join(", %s=%r" % (n, cls.__dict__[n]) if n in cls.__dict__ else ", " + n for n in names)
+        fields = "".join(" %s," % n for n in names)
+        sets = "".join("\n    object.__setattr__(node, %r, %s)" % (n, n) for n in names)
+        code: dict = {}
+        exec(_NEW % (params, fields, sets, free), globals(), code)
+        cls.__new__ = code["__new__"]
+        cls.__new__.__qualname__ = cls.__qualname__ + ".__new__"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Tru(_Node, free="frozenset()"):
     pass
 
 
-@dataclass(frozen=True)
-class Prop:
+@dataclass(frozen=True, eq=False, init=False)
+class Prop(_Node, free="frozenset((var,))"):
     prop: str
     var: str
 
 
-@dataclass(frozen=True)
-class Act:
+@dataclass(frozen=True, eq=False, init=False)
+class Act(_Node, free="frozenset((src, dst))"):
     action: str
     src: str
     dst: str
 
 
-@dataclass(frozen=True)
-class Apply:
+@dataclass(frozen=True, eq=False, init=False)
+class Apply(_Node, free="frozenset((head,) + args)"):
     head: str
     args: tuple[str, ...]
     # element type of the head's set type, filled in by check_well_formed
     elem: Optional[Type] = None
 
 
-@dataclass(frozen=True)
-class Not:
+@dataclass(frozen=True, eq=False, init=False)
+class Not(_Node, free="sub.free"):
     sub: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, eq=False, init=False)
+class Or(_Node, free="left.free | right.free"):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Exists:
+@dataclass(frozen=True, eq=False, init=False)
+class Exists(_Node, free="body.free - {var}"):
     var: str
     vtype: Type
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Pfp:
+# fixpoint argument occurrences are free
+@dataclass(frozen=True, eq=False, init=False)
+class Pfp(_Node, free="(body.free - {var}) | frozenset(args)"):
     var: str
     vtype: Type
     body: "Formula"
@@ -221,12 +282,11 @@ def check_well_formed(f: Formula, ctx: Optional[TypingContext] = None) -> Formul
     Proposition and action atoms take ground variables.  An applied or
     fixpoint-bound variable has a set type whose element determines the
     argument count and types (see applied_arg_types).  Raises TypingError
-    on any violation; on success returns a tree equal to the input except
-    that every Apply node carries its head's element type.  Checking an
-    already annotated formula is idempotent.
+    on any violation; on success returns the formula with every Apply node
+    carrying its head's element type.  Checking an already annotated
+    formula returns that same formula.
     """
-    scope: dict[str, Type] = dict(ctx) if ctx else {}
-    return _Checker().check(f, scope)
+    return _Checker().check(f, dict(ctx) if ctx else {})
 
 
 def _lookup(scope: Mapping[str, Type], var: str, where: str) -> Type:
@@ -237,22 +297,16 @@ def _lookup(scope: Mapping[str, Type], var: str, where: str) -> Type:
 
 
 class _Checker:
-    """One checking pass.
-
-    Builder output reuses subterms heavily, so each distinct node is
-    checked once per typing of its free variables and the annotated
-    result keeps the sharing instead of expanding it into a tree.
-    """
+    """One checking pass: each distinct node is checked once per typing of
+    its free variables, so a pass over a shared DAG is linear in its nodes."""
 
     def __init__(self) -> None:
         self.done: dict = {}
-        self.free_vars = FreeVars()
 
     def check(self, f: Formula, scope: dict[str, Type]) -> Formula:
         # only the types of the node's own free variables matter, so the
         # cache key ignores whatever else happens to be in scope
-        sig = tuple(sorted((v, scope[v]) for v in self.free_vars(f) if v in scope))
-        key = (id(f), sig)
+        key = (f, tuple(sorted((v, scope[v]) for v in f.free if v in scope)))
         hit = self.done.get(key)
         if hit is None:
             hit = self.done[key] = self._node(f, scope)
@@ -314,58 +368,11 @@ class _Checker:
         raise TypeError("not a formula: %r" % (f,))
 
 
-class FreeVars:
-    """Free-variable walker that visits each distinct node object once.
-
-    Builder output shares subterms heavily, so results are memoized by
-    node identity, which keeps a walk over a shared DAG linear in its
-    distinct nodes.  An id is only unique while its node lives, so a
-    walker must not outlive the formulas it has walked.
-    """
-
-    def __init__(self) -> None:
-        self._memo: dict = {}
-
-    def __call__(self, f: Formula) -> frozenset[str]:
-        got = self._memo.get(id(f))
-        if got is not None:
-            return got
-        if isinstance(f, Tru):
-            got = frozenset()
-        elif isinstance(f, Prop):
-            got = frozenset((f.var,))
-        elif isinstance(f, Act):
-            got = frozenset((f.src, f.dst))
-        elif isinstance(f, Apply):
-            got = frozenset((f.head,) + f.args)
-        elif isinstance(f, Not):
-            got = self(f.sub)
-        elif isinstance(f, Or):
-            got = self(f.left) | self(f.right)
-        elif isinstance(f, Exists):
-            got = self(f.body) - {f.var}
-        elif isinstance(f, Pfp):
-            got = (self(f.body) - {f.var}) | frozenset(f.args)
-        else:
-            raise TypeError("not a formula: %r" % (f,))
-        self._memo[id(f)] = got
-        return got
-
-
-def free_vars(f: Formula) -> frozenset[str]:
-    """Free variables; fixpoint argument occurrences are free."""
-    return FreeVars()(f)
-
-
 def formula_order(f: Formula, ctx: Optional[TypingContext] = None) -> int:
     """Least k with free and existential variables of order <= k and
     fixpoint-bound variables of order <= k + 1.  Always at least 1."""
-    scope: dict[str, Type] = dict(ctx) if ctx else {}
-    need = 1
-    for v in free_vars(f):
-        if v in scope:
-            need = max(need, order_of(scope[v]))
-    return max(need, _binder_order(f))
+    scope = ctx or {}
+    return max([order_of(scope[v]) for v in f.free if v in scope] + [_binder_order(f)])
 
 
 def _binder_order(f: Formula) -> int:

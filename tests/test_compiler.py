@@ -25,7 +25,7 @@ from hopfp.compiler import (
 )
 from hopfp.domains import ConformanceError, Domain, SetV, State, index_to_value, make_set
 from hopfp.evaluator import compile_formula, evaluate
-from hopfp.logic import GROUND, Compound, SetOf, formula_order, free_vars
+from hopfp.logic import GROUND, Compound, SetOf, formula_order
 from hopfp.lts import Lts, ordered_lts
 from hopfp.machine import Configuration, iter_run
 
@@ -282,7 +282,7 @@ def test_perturbed_stages_never_invent_reachable_looking_runs():
 def test_machine_formula_is_closed_and_of_the_right_order():
     ctx = _ctx(M_FIRST1, 3)
     phi = build_machine_formula(ctx, "1")
-    assert free_vars(phi) == frozenset()
+    assert phi.free == frozenset()
     assert formula_order(phi) == 2
     ctx2 = CodingContext(ordered_lts(2), M_ACC2, ReductionParams(2, 1))
     assert formula_order(build_machine_formula(ctx2, "1")) == 3

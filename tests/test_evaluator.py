@@ -21,6 +21,7 @@ from hopfp.domains import (
     make_set,
 )
 from hopfp.evaluator import EvalStats, compile_formula, evaluate, pfp_iterate
+from hopfp.frontend import format_formula
 from hopfp.logic import (
     GROUND as G,
     TT,
@@ -242,6 +243,14 @@ def test_differential_against_reference(seed):
     assert got == want
 
 
+def _assert_pfp_trace_matches_reference(T, pf: Pfp, scope: dict, env: dict) -> None:
+    ref_limit, ref_stages = ref_pfp_limit(T, check_well_formed(pf, scope), env)
+    ctx = {v: t for v, t in scope.items() if v not in pf.args}
+    tr = pfp_iterate(T, pf, env=env, ctx=ctx)
+    assert [tr.stage_value(i) for i in range(len(tr.stages))] == ref_stages
+    assert make_set([State(i) for i in tr.limit()]) == ref_limit
+
+
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_differential_pfp_traces(seed):
@@ -251,13 +260,23 @@ def test_differential_pfp_traces(seed):
     fuel = {"pfp": 1, "setq": 1}
     body = random_formula(rng, dict(scope, X=SetOf(G)), 2, fuel)
     pf = Pfp("X", SetOf(G), body, ("g1",))
-    ctx = {"g2": G}
-    env = {"g2": State(0)}
-    checked = check_well_formed(pf, {"g1": G, "g2": G})
-    ref_limit, ref_stages = ref_pfp_limit(T, checked, {"g2": State(0)})
-    tr = pfp_iterate(T, pf, env=env, ctx=ctx)
-    assert [tr.stage_value(i) for i in range(len(tr.stages))] == ref_stages
-    assert make_set([State(i) for i in tr.limit()]) == ref_limit
+    _assert_pfp_trace_matches_reference(T, pf, scope, {"g2": State(0)})
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_differential_pfp_traces_under_a_set_binding(seed):
+    # the body holds a second fixpoint, which runs once per binding of
+    # the outer stage X, the outer set Y and whatever else it reads
+    rng = random.Random(seed)
+    T = random_lts(rng)
+    Y = make_set([State(i) for i in range(T.n) if rng.random() < 0.5])
+    scope = {"g1": G, "g2": G, "Y": SetOf(G)}
+    body = TT
+    while "(pfp" not in format_formula(body):
+        body = random_formula(rng, dict(scope, X=SetOf(G)), 2, {"pfp": 1, "setq": 1})
+    pf = Pfp("X", SetOf(G), body, ("g1",))
+    _assert_pfp_trace_matches_reference(T, pf, scope, {"g2": State(0), "Y": Y})
 
 
 def test_member_guarded_chain_matches_reference():

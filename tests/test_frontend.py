@@ -1,12 +1,16 @@
 """Concrete syntax round trips and error reporting."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
 from _gen import scoped_instance
-from _machines import M_FIRST1
+from _machines import M_ACC2, M_FIRST1
+from hopfp.compiler import CodingContext, ReductionParams, build_machine_formula
 from hopfp.domains import SetV, State, Tup, make_set
+from hopfp.evaluator import compile_formula
 from hopfp.frontend import (
     ParseError,
     format_formula,
@@ -113,7 +117,27 @@ class TestFormulaParsing:
         for seed in range(80):
             rng = random.Random(seed)
             _, f = scoped_instance(rng)
-            assert parse_formula(format_formula(f)) == f
+            assert parse_formula(format_formula(f)) is f
+
+    def test_reparsed_machine_formula_evaluates_like_the_built_one(self):
+        # the height-two shape: the printed text is a tree, the built
+        # formula a DAG, and reading the text back must rebuild the DAG
+        host = ordered_lts(2)
+        ctx = CodingContext(host, M_ACC2, ReductionParams(2, 1))
+        built = build_machine_formula(ctx, "1" * 16)
+        text = format_formula(built)
+        assert parse_formula(text) is built
+
+        def run(f):
+            compiled = compile_formula(host, f)
+            return compiled(), compiled.stats, compiled.traces
+
+        want = run(built)
+        gone = weakref.ref(built)
+        del built
+        gc.collect()
+        assert gone() is None
+        assert run(parse_formula(text)) == want
 
     def test_canonical_text_survives_printing(self):
         texts = [

@@ -1,7 +1,14 @@
-"""Typing rules, sugar normalization and static measures."""
+"""Typing rules, sugar normalization, interning and static measures."""
+
+import copy
+import dataclasses
+import gc
+import pickle
+import weakref
 
 import pytest
 
+from hopfp import logic
 from hopfp.logic import (
     GROUND,
     TT,
@@ -26,7 +33,6 @@ from hopfp.logic import (
     forall,
     formula_order,
     formula_size,
-    free_vars,
     implies,
     order_of,
 )
@@ -86,7 +92,7 @@ class TestWellFormedness:
         inner = checked.body.body.body
         assert inner == Apply("X", ("x", "y"), GG)
         # idempotent
-        assert check_well_formed(checked) == checked
+        assert check_well_formed(checked) is checked
 
     def test_context_supplies_free_variables(self):
         f = Apply("X", ("x",))
@@ -139,12 +145,59 @@ class TestWellFormedness:
             check_well_formed(g)
 
 
+class TestInterning:
+    def test_same_fields_same_node(self):
+        assert Tru() is TT
+        assert Apply("X", ("x",)) is Apply("X", ("x",), None)
+        assert Apply("X", ("x",)) is Apply(head="X", args=("x",))
+        assert Apply("X", ("x",)) is not Apply("X", ("x",), G)
+        a, b = Prop("p", "x"), Act("a", "x", "y")
+        assert and_(a, b) is and_(a, b)
+        assert and_(a, b) is not and_(b, a)
+        # types are compared by value, nodes by identity
+        assert Exists("X", SetOf(GG), TT) is Exists("X", SetOf(Compound((G, G))), TT)
+        assert Pfp("X", SetOf(G), Apply("X", ("u",)), ("u",)) is Pfp(
+            "X", SetOf(G), Apply("X", ("u",)), ("u",)
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.var = "y"
+        f = forall("x", G, and_(a, b))
+        assert copy.deepcopy(f) is f
+        assert pickle.loads(pickle.dumps(f)) is f
+        with pytest.raises(TypeError):
+            Not(TT, TT)
+        with pytest.raises(TypeError):
+            Apply("X")
+
+    def test_checking_twice_gives_the_same_formula(self):
+        f = Exists("X", SetOf(GG), forall("x", G, Exists("y", G, and_(
+            Apply("X", ("x", "y")), Pfp("Z", SetOf(G), Or(Apply("Z", ("x",)), Prop("p", "x")), ("x",))))))
+        once = check_well_formed(f)
+        assert check_well_formed(once) is once
+        assert check_well_formed(f) is once
+
+    def test_dropped_formula_leaves_the_table(self):
+        gc.collect()
+        before = len(logic._NODES)
+        f = TT
+        for i in range(5000):
+            f = and_(Or(f, Prop("p", "x%d" % (i % 5))), Exists("y", G, Act("a", "x", "y")))
+        assert len(logic._NODES) > before + 5000
+        root = weakref.ref(f)
+        del f
+        gc.collect()
+        assert root() is None
+        assert len(logic._NODES) == before
+
+
 class TestMeasures:
     def test_free_vars(self):
         f = Exists("x", G, Or(Prop("p", "x"), Act("a", "x", "y")))
-        assert free_vars(f) == {"y"}
+        assert f.free == {"y"}
         pf = Pfp("X", SetOf(G), Or(Apply("X", ("z",)), Prop("p", "w")), ("z",))
-        assert free_vars(pf) == {"z", "w"}
+        assert pf.free == {"z", "w"}
+        assert TT.free == frozenset()
+        assert forall("x", G, Apply("X", ("x", "y"))).free == {"X", "y"}
 
     def test_formula_order(self):
         assert formula_order(Exists("x", G, Prop("p", "x"))) == 1
