@@ -50,23 +50,26 @@ from .logic import (
 )
 from .machine import LEFT, RIGHT, Configuration, TmSpec, encode_lts, iter_run, run
 from .orders import (
-    NameSupply,
     TowerSpec,
     build_eq,
     build_index,
     build_lt,
     build_succ,
     build_total_order_axiom,
+    iter_index,
     quantify_exists,
 )
 
 # fixed variable names of the generated formulas: the stage set, the
-# candidate member (state code, head cell, own cell, symbol code) and
-# the witness member drawn from the stage at the old head cell
+# candidate member (state code, head cell, own cell, symbol code), the
+# witness member drawn from the stage at the old head cell (it also
+# probes the stage for emptiness), the old content at the candidate's
+# cell and the input's last cell
 SET_VAR = "cfg"
 TUPLE_VARS = ("yq", "hd", "cell", "ys")
 WITNESS_VARS = ("xq", "xh", "xc", "xs")
 OLD_VAR = "xo"
+LAST_VAR = "zb"
 
 
 class PreconditionError(ValueError):
@@ -268,54 +271,9 @@ def decode_configuration(ctx: CodingContext, v: Value) -> Configuration:
 # -- formula builders -------------------------------------------------------
 
 
-def _taken() -> tuple:
-    return (SET_VAR,) + TUPLE_VARS + WITNESS_VARS + (OLD_VAR,)
-
-
-def _code_eq(ctx: CodingContext, var: str, code: int, supply: NameSupply) -> Formula:
+def _code_eq(ctx: CodingContext, var: str, code: int) -> Formula:
     """The ground variable holds the individual at the given order position."""
-    return build_index(ctx.code_spec, code, (var,), supply)
-
-
-def _index_caps(spec, supply):
-    """Position formulas idx_0, idx_1, ... over one shared chain.
-
-    Returns cap(i, slot), the formula placing slot at order position i.
-    All caps hang off a single spine of successor steps, and the spine
-    alternates between just two bound names so every step reuses the
-    same two successor subtrees.  Sharing matters: each fresh successor
-    instance would cost the evaluator a memo table keyed by a pair of
-    positions, and a word's worth of those overflows the cache.
-    """
-    pair = (supply.slot(spec, "u"), supply.slot(spec, "u"))
-    hops: dict = {}
-
-    def hop(src, dst):
-        got = hops.get((src, dst))
-        if got is None:
-            got = hops[(src, dst)] = build_succ(spec, src, dst, supply)
-        return got
-
-    spine: list = []
-
-    def at(i):
-        # spine[i] puts its working name, pair[i % 2], at order position i
-        while len(spine) <= i:
-            k = len(spine)
-            if k == 0:
-                spine.append(build_index(spec, 0, pair[0], supply))
-            else:
-                prev, cur = pair[(k - 1) % 2], pair[k % 2]
-                spine.append(quantify_exists(spec, prev, and_(spine[k - 1], hop(prev, cur))))
-        return spine[i]
-
-    def cap(i, slot):
-        if i == 0:
-            return build_index(spec, 0, slot, supply)
-        src = pair[(i - 1) % 2]
-        return quantify_exists(spec, src, and_(at(i - 1), hop(src, slot)))
-
-    return cap
+    return build_index(ctx.code_spec, code, (var,))
 
 
 def build_init(ctx: CodingContext, word: str) -> Formula:
@@ -323,7 +281,9 @@ def build_init(ctx: CodingContext, word: str) -> Formula:
 
     Free variables: the candidate member.  The head sits on cell zero in
     the starting state, cells under the input carry its letters, and a
-    witness for the input's last cell forces blanks past it.
+    witness for the input's last cell forces blanks past it.  The index
+    formulas of all these cells hang off one interned spine of
+    successor steps (see iter_index).
     """
     m, cells = ctx.machine, ctx.cells
     if len(word) > cells:
@@ -333,29 +293,26 @@ def build_init(ctx: CodingContext, word: str) -> Formula:
     for ch in word:
         if ch not in m.input_alphabet:
             raise ValueError("input symbol %r not allowed" % ch)
-    supply = NameSupply(taken=_taken())
     yq, hd, cell, ys = TUPLE_VARS
-    cap = _index_caps(ctx.pos_spec, supply)
+    pspec = ctx.pos_spec
     parts = [
-        cap(0, (hd,)),
-        _code_eq(ctx, yq, m.state_index(m.init), supply),
+        build_index(pspec, 0, (hd,)),
+        _code_eq(ctx, yq, m.state_index(m.init)),
     ]
-    for i, ch in enumerate(word):
-        parts.append(
-            implies(cap(i, (cell,)), _code_eq(ctx, ys, m.symbol_index(ch), supply))
-        )
-    blank = _code_eq(ctx, ys, m.symbol_index(m.blank), supply)
+    for ch, at in zip(word, iter_index(pspec, (cell,))):
+        parts.append(implies(at, _code_eq(ctx, ys, m.symbol_index(ch))))
+    blank = _code_eq(ctx, ys, m.symbol_index(m.blank))
     if not word:
         parts.append(blank)
     else:
-        last = supply.slot(ctx.pos_spec, "zb")
+        last = (LAST_VAR,)
         parts.append(
             quantify_exists(
-                ctx.pos_spec,
+                pspec,
                 last,
                 and_(
-                    cap(len(word) - 1, last),
-                    implies(build_lt(ctx.pos_spec, last, (cell,), supply), blank),
+                    build_index(pspec, len(word) - 1, last),
+                    implies(build_lt(pspec, last, (cell,)), blank),
                 ),
             )
         )
@@ -370,22 +327,22 @@ def build_trans(ctx: CodingContext) -> Formula:
     witness at the candidate's own cell carries the old content there,
     and one conjunct per transition rule forces the new state, the moved
     head and the written symbol.  Cells away from the old head keep
-    their content.
+    their content.  Bound names are fixed, so a test that recurs, such
+    as the old head against the candidate's cell, is one interned node
+    and shares one memo table during evaluation.
     """
     m = ctx.machine
-    supply = NameSupply(taken=_taken())
     yq, hd, cell, ys = TUPLE_VARS
     xq, xh, xc, xs = WITNESS_VARS
     pspec = ctx.pos_spec
-    # shared nodes so equal tests share one memo table during evaluation
-    at_head = build_eq(pspec, (xh,), (cell,), supply)
-    stay = build_eq(pspec, (hd,), (xh,), supply)
-    step_right = build_succ(pspec, (xh,), (hd,), supply)
+    at_head = build_eq(pspec, (xh,), (cell,))
+    stay = build_eq(pspec, (hd,), (xh,))
+    step_right = build_succ(pspec, (xh,), (hd,))
     step_left = Or(
-        build_succ(pspec, (hd,), (xh,), supply),
+        build_succ(pspec, (hd,), (xh,)),
         and_(
-            build_index(pspec, 0, (xh,), supply),
-            build_index(pspec, 0, (hd,), supply),
+            build_index(pspec, 0, (xh,)),
+            build_index(pspec, 0, (hd,)),
         ),
     )
     old_content = Exists(
@@ -393,29 +350,29 @@ def build_trans(ctx: CodingContext) -> Formula:
         GROUND,
         and_(
             Apply(SET_VAR, (xq, xh, cell, OLD_VAR)),
-            implies(Not(at_head), build_eq(ctx.code_spec, (ys,), (OLD_VAR,), supply)),
+            implies(Not(at_head), build_eq(ctx.code_spec, (ys,), (OLD_VAR,))),
         ),
     )
     blocks = []
     order = lambda kv: (m.state_index(kv[0][0]), m.symbol_index(kv[0][1]))
     for (q, sym), (q2, sym2, move) in sorted(m.delta.items(), key=order):
         matches = and_(
-            _code_eq(ctx, xq, m.state_index(q), supply),
-            _code_eq(ctx, xs, m.symbol_index(sym), supply),
+            _code_eq(ctx, xq, m.state_index(q)),
+            _code_eq(ctx, xs, m.symbol_index(sym)),
         )
         moved = step_left if move == LEFT else step_right if move == RIGHT else stay
         forced = conj(
             [
-                _code_eq(ctx, yq, m.state_index(q2), supply),
+                _code_eq(ctx, yq, m.state_index(q2)),
                 moved,
-                implies(at_head, _code_eq(ctx, ys, m.symbol_index(sym2), supply)),
+                implies(at_head, _code_eq(ctx, ys, m.symbol_index(sym2))),
             ]
         )
         blocks.append(implies(matches, forced))
     body = conj(
         [
             Apply(SET_VAR, WITNESS_VARS),
-            build_eq(pspec, (xc,), (xh,), supply),
+            build_eq(pspec, (xc,), (xh,)),
             old_content,
         ]
         + blocks
@@ -431,10 +388,9 @@ def build_stage_formula(ctx: CodingContext, word: str) -> Formula:
     branch reproduces the successor and halting configurations repeat
     through their self loop rules, freezing the iteration.
     """
-    supply = NameSupply(taken=_taken())
-    probe = [supply.fresh("w") for _ in range(4)]
     # built as a negated existential so evaluation probes one member
-    empty = Not(exists_all(list(zip(probe, ctx.member_type.parts)), Apply(SET_VAR, tuple(probe))))
+    probe = list(zip(WITNESS_VARS, ctx.member_type.parts))
+    empty = Not(exists_all(probe, Apply(SET_VAR, WITNESS_VARS)))
     return Or(build_trans(ctx), and_(empty, build_init(ctx, word)))
 
 
@@ -445,9 +401,8 @@ def build_stage_fixpoint(ctx: CodingContext, word: str) -> Pfp:
 
 def build_machine_formula(ctx: CodingContext, word: str) -> Formula:
     """Closed formula true on the system iff the machine accepts the word."""
-    supply = NameSupply(taken=_taken())
     yq = TUPLE_VARS[0]
-    accept = _code_eq(ctx, yq, ctx.machine.state_index(ctx.machine.accept), supply)
+    accept = _code_eq(ctx, yq, ctx.machine.state_index(ctx.machine.accept))
     return and_(
         build_total_order_axiom(),
         exists_all(

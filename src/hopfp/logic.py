@@ -372,31 +372,36 @@ def formula_order(f: Formula, ctx: Optional[TypingContext] = None) -> int:
     """Least k with free and existential variables of order <= k and
     fixpoint-bound variables of order <= k + 1.  Always at least 1."""
     scope = ctx or {}
-    return max([order_of(scope[v]) for v in f.free if v in scope] + [_binder_order(f)])
-
-
-def _binder_order(f: Formula) -> int:
-    if isinstance(f, (Tru, Prop, Act, Apply)):
-        return 1
-    if isinstance(f, Not):
-        return _binder_order(f.sub)
-    if isinstance(f, Or):
-        return max(_binder_order(f.left), _binder_order(f.right))
-    if isinstance(f, Exists):
-        return max(order_of(f.vtype), _binder_order(f.body))
-    if isinstance(f, Pfp):
-        return max(order_of(f.vtype) - 1, _binder_order(f.body))
-    raise TypeError("not a formula: %r" % (f,))
+    # a fixpoint-bound variable may be one order above the bound k
+    binders = [order_of(g.vtype) - isinstance(g, Pfp) for g in _nodes(f) if isinstance(g, (Exists, Pfp))]
+    return max([1] + [order_of(scope[v]) for v in f.free if v in scope] + binders)
 
 
 def formula_size(f: Formula) -> int:
-    """Number of nodes in the core tree."""
+    """Number of nodes in the core tree, counted over the distinct nodes."""
+    sizes: dict = {}
+    for g in _nodes(f):
+        sizes[g] = 1 + sum(sizes[k] for k in _children(g))
+    return sizes[f]
+
+
+def _nodes(f: Formula, seen: Optional[dict] = None) -> dict:
+    """The distinct nodes of f as the keys of a dict, each after its children."""
+    seen = {} if seen is None else seen
+    if f not in seen:
+        for k in _children(f):
+            _nodes(k, seen)
+        seen[f] = None
+    return seen
+
+
+def _children(f: Formula) -> tuple:
     if isinstance(f, (Tru, Prop, Act, Apply)):
-        return 1
+        return ()
     if isinstance(f, Not):
-        return 1 + formula_size(f.sub)
+        return (f.sub,)
     if isinstance(f, Or):
-        return 1 + formula_size(f.left) + formula_size(f.right)
+        return (f.left, f.right)
     if isinstance(f, (Exists, Pfp)):
-        return 1 + formula_size(f.body)
+        return (f.body,)
     raise TypeError("not a formula: %r" % (f,))

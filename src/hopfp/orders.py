@@ -11,14 +11,18 @@ the width and j.
 
 A level-1 value occupies width many ground variables; from level 2 on a
 value is a single set-typed variable.  Builders therefore work with
-slots, tuples of variable names, and draw bound names from a NameSupply
-so that nested builds never capture each other.
+slots, tuples of variable names, and name their own bound variables by
+role and level alone, in a shape NameSupply.fresh never produces, so
+equal requests build the same interned formula.  A builder's body
+mentions only its slots and its own bound names, so raising ValueError
+on a slot that uses one of those names keeps every build capture free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import count, islice
+from typing import Iterable, Iterator, Optional
 
 from .logic import (
     GROUND,
@@ -111,8 +115,22 @@ def quantify_forall(spec: TowerSpec, names: Slot, body: Formula) -> Formula:
     return forall_all(zip(names, spec.slot_types), body)
 
 
-def build_lt(spec: TowerSpec, a: Slot, b: Slot, supply: NameSupply) -> Formula:
-    """a comes strictly before b in the canonical order of the level."""
+def _bound_slot(spec: TowerSpec, role: str, *given: Slot) -> Slot:
+    """The slot a builder binds in the role, named by the level, the role
+    letter and one prime per earlier part, as in 2z or 1w'.  Raises
+    ValueError when a given slot uses one of these names."""
+    names = tuple("%d%s%s" % (spec.level, role, "'" * i) for i in range(spec.slot_arity))
+    clash = [name for name in names if any(name in slot for slot in given)]
+    if clash:
+        raise ValueError("slot names %s are bound by the builder" % clash)
+    return names
+
+
+def build_lt(spec: TowerSpec, a: Slot, b: Slot, supply: Optional[NameSupply] = None) -> Formula:
+    """a comes strictly before b in the canonical order of the level.
+
+    supply is ignored, and accepted only for callers that still pass one.
+    """
     if spec.level == 1:
         disjuncts = []
         for i in range(spec.width):
@@ -121,14 +139,14 @@ def build_lt(spec: TowerSpec, a: Slot, b: Slot, supply: NameSupply) -> Formula:
             disjuncts.append(conj(parts))
         return disj(disjuncts)
     down = spec.down()
-    z = supply.slot(down, "z")
-    w = supply.slot(down, "w")
+    z = _bound_slot(down, "z", a, b)
+    w = _bound_slot(down, "w", a, b)
     x, y = a[0], b[0]
     above = quantify_forall(
         down,
         w,
         implies(
-            build_lt(down, z, w, supply),
+            build_lt(down, z, w),
             implies(Apply(x, w), Apply(y, w)),
         ),
     )
@@ -136,39 +154,54 @@ def build_lt(spec: TowerSpec, a: Slot, b: Slot, supply: NameSupply) -> Formula:
     return quantify_exists(down, z, witness)
 
 
-def build_eq(spec: TowerSpec, a: Slot, b: Slot, supply: NameSupply) -> Formula:
-    return and_(Not(build_lt(spec, a, b, supply)), Not(build_lt(spec, b, a, supply)))
+def build_eq(spec: TowerSpec, a: Slot, b: Slot) -> Formula:
+    return and_(Not(build_lt(spec, a, b)), Not(build_lt(spec, b, a)))
 
 
-def build_succ(spec: TowerSpec, a: Slot, b: Slot, supply: NameSupply) -> Formula:
+def build_succ(spec: TowerSpec, a: Slot, b: Slot) -> Formula:
     """b is the immediate successor of a: a < b with nothing in between."""
-    z = supply.slot(spec, "z")
+    v = _bound_slot(spec, "v", a, b)
     gap_free = quantify_forall(
         spec,
-        z,
+        v,
         implies(
-            build_lt(spec, z, b, supply),
-            Or(build_eq(spec, z, a, supply), build_lt(spec, z, a, supply)),
+            build_lt(spec, v, b),
+            Or(build_eq(spec, v, a), build_lt(spec, v, a)),
         ),
     )
-    return and_(build_lt(spec, a, b, supply), gap_free)
+    return and_(build_lt(spec, a, b), gap_free)
 
 
-def build_index(spec: TowerSpec, j: int, names: Slot, supply: NameSupply) -> Formula:
+def build_index(spec: TowerSpec, j: int, names: Slot) -> Formula:
     """The slot holds the j-th value of the level in canonical order.
 
     Size grows linearly with j: the zero case says nothing is smaller,
-    and each step asserts a successor of a fresh witness for j - 1.
+    and each step asserts a successor of a witness for j - 1.
     """
     if j < 0:
         raise ValueError("index must not be negative")
-    if j == 0:
-        y = supply.slot(spec, "y")
-        body = Or(build_lt(spec, names, y, supply), build_eq(spec, names, y, supply))
-        return quantify_forall(spec, y, body)
-    y = supply.slot(spec, "y")
-    below = build_index(spec, j - 1, y, supply)
-    return quantify_exists(spec, y, and_(below, build_succ(spec, y, names, supply)))
+    return next(islice(iter_index(spec, names), j, None))
+
+
+def iter_index(spec: TowerSpec, names: Slot) -> Iterator[Formula]:
+    """build_index of the slot for j = 0, 1, 2, ... in turn.
+
+    The witness for j - 1 is named by the parity of j, so the formula
+    for j - 1 at that name, the spine, is one node for every slot, and
+    its successor steps alternate between just two nodes.  That matters
+    to the evaluator, which keeps a memo table per distinct successor
+    node.  The spine is extended by one step per formula, never rebuilt.
+    """
+    pair = y, u = (_bound_slot(spec, "y", names), _bound_slot(spec, "u", names))
+    least = lambda slot: quantify_forall(spec, y, Or(build_lt(spec, slot, y), build_eq(spec, slot, y)))
+    yield least(names)
+    steps = (build_succ(spec, y, u), build_succ(spec, u, y))
+    last = (build_succ(spec, y, names), build_succ(spec, u, names))
+    spine = least(u)
+    for j in count(1):
+        # spine is the formula for j - 1 at the witness name for j
+        yield quantify_exists(spec, pair[j % 2], and_(spine, last[j % 2]))
+        spine = quantify_exists(spec, pair[j % 2], and_(spine, steps[j % 2]))
 
 
 def build_total_order_axiom(supply: Optional[NameSupply] = None) -> Formula:

@@ -100,7 +100,7 @@ def test_c01_order_family_agrees_with_canonical_comparison_everywhere():
         supply = NameSupply()
         a = supply.slot(spec)
         b = supply.slot(spec)
-        lt = build_lt(spec, a, b, supply)
+        lt = build_lt(spec, a, b)
         compiled = compile_formula(
             system, lt, {**_slot_ctx(spec, a), **_slot_ctx(spec, b)}
         )
@@ -149,8 +149,7 @@ def test_c03_index_formulas_pick_out_single_elements():
         values = list(iter_domain(Domain(spec.value_type, n)))
         sizes = []
         for j in range(len(values)):
-            supply = NameSupply(taken=("x",))
-            idx = build_index(spec, j, ("x",), supply)
+            idx = build_index(spec, j, ("x",))
             sizes.append(formula_size(idx))
             compiled = compile_formula(system, idx, _slot_ctx(spec, ("x",)))
             holders = [
@@ -194,8 +193,7 @@ def test_c04_fixpoint_algebra_and_reachability():
                 if b not in seen:
                     seen.add(b)
                     frontier.append(b)
-        supply = NameSupply(taken=("y", "x"))
-        start = build_index(TowerSpec(1, 1), 0, ("y",), supply)
+        start = build_index(TowerSpec(1, 1), 0, ("y",))
         grow = Exists("x", GROUND, and_(Apply("R", ("x",)), Act("e", "x", "y")))
         reach = Pfp("R", SetOf(GROUND), Or(start, grow), ("y",))
         trace = pfp_iterate(system, reach)

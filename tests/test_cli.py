@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from hopfp.cli import run_cli
+from hopfp.compiler import CodingContext, ReductionParams, build_machine_formula
 from hopfp.evaluator import evaluate
 from hopfp.frontend import format_lts, format_tm, parse_formula
 from hopfp.logic import RECURSION_LIMIT
@@ -152,7 +153,7 @@ def test_simulate_step_budget(files, capsys):
 # -- compile-tm -------------------------------------------------------------
 
 
-def test_compile_tm_output_evaluates(tm_file, tmp_path, capsys):
+def test_compile_tm_output_evaluates(tm_file, lts_file, tmp_path, capsys):
     out = tmp_path / "first1.hof"
     code = run_cli(
         ["compile-tm", "--tm", tm_file, "--k", "1", "--c", "1",
@@ -161,11 +162,18 @@ def test_compile_tm_output_evaluates(tm_file, tmp_path, capsys):
     assert code == 0
     phi = parse_formula(out.read_text())
     assert evaluate(ordered_lts(3), phi) is True
+    ctx = CodingContext(ordered_lts(3), M_FIRST1, ReductionParams(1, 1))
+    assert phi is build_machine_formula(ctx, "10")
+    assert run_cli(["typecheck", "--formula", str(out)]) == 0
+    assert run_cli(["eval", "--lts", lts_file, "--formula", str(out)]) == 0
+    assert capsys.readouterr().out == "order: 2\ntrue\n"
     # default output stream is stdout
     assert run_cli(["compile-tm", "--tm", tm_file, "--k", "1", "--c", "1",
                     "--word", "01"]) == 0
     text = capsys.readouterr().out
     assert evaluate(ordered_lts(3), parse_formula(text)) is False
+    out.write_text(text)
+    assert run_cli(["eval", "--lts", lts_file, "--formula", str(out)]) == 1
 
 
 def test_compile_tm_word_and_lts_exclude_each_other(tm_file, lts_file):

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import gc
 import pickle
+import signal
 import weakref
 
 import pytest
@@ -213,3 +214,21 @@ class TestMeasures:
         assert formula_size(TT) == 1
         assert formula_size(and_(TT, TT)) == 6
         assert formula_size(Exists("x", G, Prop("p", "x"))) == 2
+
+    def test_measures_visit_each_shared_node_once(self):
+        # a tree walk would take 2**65 steps; a stuck walk fails the test
+        g = Prop("p", "x")
+        for _ in range(64):
+            g = Or(g, g)
+
+        def stuck(signum, frame):
+            raise TimeoutError("a measure walked the tree instead of the DAG")
+
+        old = signal.signal(signal.SIGALRM, stuck)
+        signal.alarm(10)
+        try:
+            assert formula_size(g) == 2**65 - 1
+            assert formula_order(g) == 1
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)

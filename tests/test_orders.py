@@ -1,13 +1,14 @@
 """Order, successor and index formulas against the canonical enumeration."""
 
 import random
+from itertools import islice
 
 import pytest
 
 from hopfp.domains import Domain, Tup, iter_domain
 from hopfp.evaluator import evaluate
 from hopfp.lts import Lts, ORDER_ACTION, order_ranks, ordered_lts
-from hopfp.logic import formula_order, formula_size
+from hopfp.logic import and_, formula_order, formula_size
 from hopfp.orders import (
     NameSupply,
     TowerSpec,
@@ -16,6 +17,7 @@ from hopfp.orders import (
     build_lt,
     build_succ,
     build_total_order_axiom,
+    iter_index,
 )
 
 T11 = TowerSpec(1, 1)
@@ -86,9 +88,10 @@ def test_lt_eq_succ_match_canonical_order(spec, n):
     a = supply.slot(spec, "a")
     b = supply.slot(spec, "b")
     ctx = {**slot_ctx(spec, a), **slot_ctx(spec, b)}
+    # positionally, the way older callers still pass a supply
     f_lt = build_lt(spec, a, b, supply)
-    f_eq = build_eq(spec, a, b, supply)
-    f_succ = build_succ(spec, a, b, supply)
+    f_eq = build_eq(spec, a, b)
+    f_succ = build_succ(spec, a, b)
     for i, u in enumerate(values):
         for j, v in enumerate(values):
             env = {**slot_env(spec, a, u), **slot_env(spec, b, v)}
@@ -106,7 +109,7 @@ def test_index_formulas_are_exact(spec, n):
     ctx = slot_ctx(spec, a)
     picks = range(len(values)) if len(values) <= 16 else [0, 1, len(values) - 1]
     for j in picks:
-        f = build_index(spec, j, a, supply)
+        f = build_index(spec, j, a)
         for i, u in enumerate(values):
             got = evaluate(T, f, env=slot_env(spec, a, u), ctx=ctx)
             assert got == (i == j), (j, u)
@@ -114,29 +117,64 @@ def test_index_formulas_are_exact(spec, n):
 
 @pytest.mark.parametrize("spec", [T11, T21, T12])
 def test_index_size_grows_linearly(spec):
-    supply = NameSupply()
-    a = supply.slot(spec, "a")
-    sizes = [formula_size(build_index(spec, j, a, NameSupply(taken=a))) for j in range(2, 9)]
+    a = NameSupply().slot(spec, "a")
+    sizes = [formula_size(build_index(spec, j, a)) for j in range(2, 9)]
     deltas = {sizes[i + 1] - sizes[i] for i in range(len(sizes) - 1)}
     assert len(deltas) == 1
 
 
-def test_supply_keeps_nested_builds_capture_free():
-    # one shared supply for lt, eq, succ and index on purpose
-    supply = NameSupply()
-    spec = T12
-    a = supply.slot(spec, "a")
-    b = supply.slot(spec, "b")
-    f = build_succ(spec, a, b, supply)
-    g = build_index(spec, 2, b, supply)
+def test_nested_builds_stay_capture_free():
     T = ordered_lts(2)
-    values = list(iter_domain(Domain(spec.value_type, 2)))
-    ctx = {**slot_ctx(spec, a), **slot_ctx(spec, b)}
-    for i, u in enumerate(values):
-        for j, v in enumerate(values):
-            env = {**slot_env(spec, a, u), **slot_env(spec, b, v)}
-            both = evaluate(T, f, env=env, ctx=ctx) and evaluate(T, g, env=env, ctx=ctx)
-            assert both == (j == 2 and i == 1)
+
+    def assert_agrees(spec, a, b, f, want):
+        values = list(iter_domain(Domain(spec.value_type, 2)))
+        ctx = {**slot_ctx(spec, a), **slot_ctx(spec, b)}
+        for i, u in enumerate(values):
+            for j, v in enumerate(values):
+                env = {**slot_env(spec, a, u), **slot_env(spec, b, v)}
+                assert evaluate(T, f, env=env, ctx=ctx) == want(i, j), (u, v)
+
+    # a succ and an index formula over one slot
+    a, b = ("a",), ("b",)
+    f = and_(build_succ(T12, a, b), build_index(T12, 2, b))
+    assert_agrees(T12, a, b, f, lambda i, j: j == 2 and i == 1)
+    # slots named like the bound names of the comparison one level down
+    a, b = ("1z",), ("1w",)
+    assert_agrees(T13, a, b, build_lt(T13, a, b), lambda i, j: i < j)
+
+
+def test_equal_requests_build_one_node():
+    a, b = ("a",), ("b",)
+    assert build_succ(T12, a, b) is build_succ(T12, a, b)
+    assert build_lt(T22, a, b) is build_lt(T22, a, b)
+
+    def spine(f):
+        # f is (exists ((w T)) (and spine (succ w slot)))
+        return f.body.sub.left.sub
+
+    for j in (1, 2, 5):
+        assert spine(build_index(T12, j, a)) is spine(build_index(T12, j, b))
+    # the spine of j is the index formula of j - 1 at the witness name,
+    # whose own spine is that of j - 1 at any slot
+    assert spine(spine(build_index(T12, 5, a))) is spine(build_index(T12, 4, b))
+    got = list(islice(iter_index(T21, a + b), 6))
+    assert all(f is build_index(T21, j, a + b) for j, f in enumerate(got))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_lt(T12, ("1z",), ("b",)),
+        lambda: build_lt(T22, ("a",), ("1w'",)),
+        lambda: build_eq(T13, ("b",), ("2z",)),
+        lambda: build_succ(T12, ("2v",), ("b",)),
+        lambda: build_index(T12, 3, ("2y",)),
+        lambda: build_index(T21, 0, ("b", "1u'")),
+    ],
+)
+def test_slot_clashing_with_a_bound_name_raises(build):
+    with pytest.raises(ValueError, match="bound by the builder"):
+        build()
 
 
 class TestTotalOrderAxiom:
