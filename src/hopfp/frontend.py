@@ -18,13 +18,16 @@ already in core shape prints back the same up to whitespace.
 
 Systems and machines use a line format with "key: value" entries and
 ";" comments; see parse_lts and parse_tm.  Parse failures carry a
-source span with byte offsets and line and column numbers.
+source span with character offsets into the text and line and column
+numbers.  The s-expression reader keeps only token indices and works
+out the position of the one error it reports.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from .domains import SetV, State, Tup, Value, make_set
 from .logic import (
@@ -56,6 +59,8 @@ from .machine import TmSpec
 
 @dataclass(frozen=True)
 class SourceSpan:
+    """Where a parse error sits: character offsets and the line and column of start."""
+
     start: int
     end: int
     line: int
@@ -73,117 +78,102 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 # s-expression layer
 
-
-class Atom(NamedTuple):
-    text: str
-    span: SourceSpan
-
-
-class SList(NamedTuple):
-    items: tuple
-    span: SourceSpan
+# A match is a comment, which leaves group 1 empty, or a token: a
+# parenthesis or an atom.  Only space, tab, CR and LF separate atoms.
+_TOKEN = re.compile(r";[^\n]*|([()]|[^ \t\r\n();]+)")
 
 
-Node = Union[Atom, SList]
+class _Source:
+    """The one form of a text: its tokens and, for each "(", the index of
+    the ")" that closes it.  Every s-expression parser starts here.
 
-_DELIMS = set(" \t\r\n();")
+    A form is named by the index of its first token: an atom, or the "("
+    of a list.  No position is kept; error works out the one it reports.
+    """
 
+    def __init__(self, text: str, what: str) -> None:
+        allow_deep_recursion()
+        self.text = text
+        self.tokens = tokens = list(filter(None, _TOKEN.findall(text)))
+        self.closes: dict[int, int] = {}
+        if not tokens:
+            raise ParseError("empty input, expected %s" % what)
+        # the first form is matched in full before trailing input is checked
+        open_at: list[int] = []
+        for i, tok in enumerate(tokens):
+            if tok == "(":
+                open_at.append(i)
+                continue
+            if tok == ")":
+                if not open_at:
+                    raise self.error("unexpected closing parenthesis", i)
+                self.closes[open_at.pop()] = i
+            if not open_at:
+                if i + 1 < len(tokens):
+                    raise self.error("trailing input after %s" % what, i + 1)
+                return
+        raise self.error("unclosed parenthesis", open_at[-1])
 
-def _tokens(text: str):
-    out = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-        elif ch in " \t\r":
-            i += 1
-            col += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            out.append((ch, ch, SourceSpan(i, i + 1, line, col)))
-            i += 1
-            col += 1
-        else:
-            j = i
-            while j < n and text[j] not in _DELIMS:
-                j += 1
-            out.append(("atom", text[i:j], SourceSpan(i, j, line, col)))
-            col += j - i
-            i = j
-    return out
-
-
-def _read(tokens, pos: int):
-    kind, text, span = tokens[pos]
-    if kind == "atom":
-        return Atom(text, span), pos + 1
-    if kind == "(":
+    def form(self, i: int) -> Union[str, list[int]]:
+        """The text of the atom at i, or the indices of the list's items."""
+        tok = self.tokens[i]
+        if tok != "(":
+            return tok
+        closes = self.closes
         items = []
-        pos += 1
-        while True:
-            if pos >= len(tokens):
-                raise ParseError("unclosed parenthesis", span)
-            if tokens[pos][0] == ")":
-                end = tokens[pos][2]
-                full = SourceSpan(span.start, end.end, span.line, span.col)
-                return SList(tuple(items), full), pos + 1
-            node, pos = _read(tokens, pos)
-            items.append(node)
-    raise ParseError("unexpected closing parenthesis", span)
+        j, end = i + 1, closes[i]
+        while j < end:
+            items.append(j)
+            j = closes.get(j, j) + 1
+        return items
+
+    def error(self, message: str, i: int) -> ParseError:
+        """The error about the form at i, located by scanning the text again."""
+        text = self.text
+        bounds = [m.span(1) for m in _TOKEN.finditer(text) if m.group(1)]
+        start, end = bounds[i][0], bounds[self.closes.get(i, i)][1]
+        col = start - text.rfind("\n", 0, start)
+        return ParseError(message, SourceSpan(start, end, text.count("\n", 0, start) + 1, col))
 
 
-def _read_one(text: str, what: str) -> Node:
-    tokens = _tokens(text)
-    if not tokens:
-        raise ParseError("empty input, expected %s" % what)
-    node, pos = _read(tokens, 0)
-    if pos != len(tokens):
-        raise ParseError("trailing input after %s" % what, tokens[pos][2])
-    return node
+def _head(src: _Source, i: int, items: list[int]) -> str:
+    head = src.form(items[0]) if items else None
+    if not isinstance(head, str):
+        raise src.error("expected a keyword after (", i)
+    return head
 
 
-def _head(node: SList) -> str:
-    if not node.items or not isinstance(node.items[0], Atom):
-        raise ParseError("expected a keyword after (", node.span)
-    return node.items[0].text
-
-
-def _name(node: Node, what: str) -> str:
-    if not isinstance(node, Atom):
-        raise ParseError("expected %s" % what, node.span)
-    return node.text
+def _name(src: _Source, i: int, what: str) -> str:
+    name = src.form(i)
+    if not isinstance(name, str):
+        raise src.error("expected %s" % what, i)
+    return name
 
 
 # ---------------------------------------------------------------------------
 # types
 
 
-def _type(node: Node) -> Type:
-    if isinstance(node, Atom):
-        if node.text == "o":
+def _type(src: _Source, i: int) -> Type:
+    form = src.form(i)
+    if isinstance(form, str):
+        if form == "o":
             return GROUND
-        raise ParseError("unknown type %r" % node.text, node.span)
-    head = _head(node)
+        raise src.error("unknown type %r" % form, i)
+    head = _head(src, i, form)
     if head == "set":
-        if len(node.items) != 2:
-            raise ParseError("set takes one element type", node.span)
-        return SetOf(_type(node.items[1]))
+        if len(form) != 2:
+            raise src.error("set takes one element type", i)
+        return SetOf(_type(src, form[1]))
     if head == "tuple":
-        if len(node.items) < 2:
-            raise ParseError("tuple needs at least one part", node.span)
-        return Compound(tuple(_type(x) for x in node.items[1:]))
-    raise ParseError("unknown type former %r" % head, node.span)
+        if len(form) < 2:
+            raise src.error("tuple needs at least one part", i)
+        return Compound(tuple(_type(src, x) for x in form[1:]))
+    raise src.error("unknown type former %r" % head, i)
 
 
 def parse_type(text: str) -> Type:
-    allow_deep_recursion()
-    return _type(_read_one(text, "a type"))
+    return _type(_Source(text, "a type"), 0)
 
 
 def format_type(t: Type) -> str:
@@ -200,85 +190,91 @@ def format_type(t: Type) -> str:
 # formulas
 
 
-def _binder_pair(node: Node) -> tuple[str, Type]:
-    if not isinstance(node, SList) or len(node.items) != 2:
-        raise ParseError("expected (VAR TYPE)", node.span)
-    return _name(node.items[0], "a variable"), _type(node.items[1])
+def _binder_pair(src: _Source, i: int) -> tuple[str, Type]:
+    form = src.form(i)
+    if isinstance(form, str) or len(form) != 2:
+        raise src.error("expected (VAR TYPE)", i)
+    return _name(src, form[0], "a variable"), _type(src, form[1])
 
 
-def _binder_group(node: Node) -> list[tuple[str, Type]]:
-    if not isinstance(node, SList) or not node.items:
-        raise ParseError("expected a nonempty binder list", node.span)
-    return [_binder_pair(x) for x in node.items]
+def _binder_group(src: _Source, i: int) -> list[tuple[str, Type]]:
+    form = src.form(i)
+    if isinstance(form, str) or not form:
+        raise src.error("expected a nonempty binder list", i)
+    return [_binder_pair(src, x) for x in form]
 
 
-def _formula(node: Node) -> Formula:
-    if isinstance(node, Atom):
-        if node.text == "tt":
+def _formula(src: _Source, i: int) -> Formula:
+    form = src.form(i)
+    if isinstance(form, str):
+        if form == "tt":
             return TT
-        if node.text == "ff":
+        if form == "ff":
             return Not(TT)
-        raise ParseError("expected a formula, got %r" % node.text, node.span)
-    head = _head(node)
-    items = node.items
+        raise src.error("expected a formula, got %r" % form, i)
+    head = _head(src, i, form)
     if head == "prop":
-        if len(items) != 3:
-            raise ParseError("prop takes a name and a variable", node.span)
-        return Prop(_name(items[1], "a proposition name"), _name(items[2], "a variable"))
+        if len(form) != 3:
+            raise src.error("prop takes a name and a variable", i)
+        return Prop(_name(src, form[1], "a proposition name"), _name(src, form[2], "a variable"))
     if head == "act":
-        if len(items) != 4:
-            raise ParseError("act takes a name and two variables", node.span)
+        if len(form) != 4:
+            raise src.error("act takes a name and two variables", i)
         return Act(
-            _name(items[1], "an action name"),
-            _name(items[2], "a variable"),
-            _name(items[3], "a variable"),
+            _name(src, form[1], "an action name"),
+            _name(src, form[2], "a variable"),
+            _name(src, form[3], "a variable"),
         )
     if head == "app":
-        if len(items) < 3:
-            raise ParseError("app takes a set variable and arguments", node.span)
+        if len(form) < 3:
+            raise src.error("app takes a set variable and arguments", i)
         return Apply(
-            _name(items[1], "a set variable"),
-            tuple(_name(x, "a variable") for x in items[2:]),
+            _name(src, form[1], "a set variable"),
+            tuple(_name(src, x, "a variable") for x in form[2:]),
         )
     if head == "not":
-        if len(items) != 2:
-            raise ParseError("not takes one formula", node.span)
-        return Not(_formula(items[1]))
+        if len(form) != 2:
+            raise src.error("not takes one formula", i)
+        return Not(_formula(src, form[1]))
     if head == "or":
-        return disj([_formula(x) for x in items[1:]])
+        return disj([_formula(src, x) for x in form[1:]])
     if head == "and":
-        return conj([_formula(x) for x in items[1:]])
+        return conj([_formula(src, x) for x in form[1:]])
     if head == "imp":
-        if len(items) != 3:
-            raise ParseError("imp takes two formulas", node.span)
-        return implies(_formula(items[1]), _formula(items[2]))
+        if len(form) != 3:
+            raise src.error("imp takes two formulas", i)
+        return implies(_formula(src, form[1]), _formula(src, form[2]))
     if head == "exists":
-        if len(items) != 3:
-            raise ParseError("exists takes a binder list and a body", node.span)
-        return exists_all(_binder_group(items[1]), _formula(items[2]))
+        if len(form) != 3:
+            raise src.error("exists takes a binder list and a body", i)
+        return exists_all(_binder_group(src, form[1]), _formula(src, form[2]))
     if head == "forall":
-        if len(items) != 3:
-            raise ParseError("forall takes a binder list and a body", node.span)
-        return forall_all(_binder_group(items[1]), _formula(items[2]))
+        if len(form) != 3:
+            raise src.error("forall takes a binder list and a body", i)
+        return forall_all(_binder_group(src, form[1]), _formula(src, form[2]))
     if head == "pfp":
-        if len(items) != 4:
-            raise ParseError("pfp takes a binder, an argument list and a body", node.span)
-        var, vtype = _binder_pair(items[1])
-        if not isinstance(items[2], SList):
-            raise ParseError("expected an argument list", items[2].span)
-        args = tuple(_name(x, "a variable") for x in items[2].items)
-        return Pfp(var, vtype, _formula(items[3]), args)
-    raise ParseError("unknown connective %r" % head, node.span)
+        if len(form) != 4:
+            raise src.error("pfp takes a binder, an argument list and a body", i)
+        var, vtype = _binder_pair(src, form[1])
+        arg_list = src.form(form[2])
+        if isinstance(arg_list, str):
+            raise src.error("expected an argument list", form[2])
+        args = tuple(_name(src, x, "a variable") for x in arg_list)
+        return Pfp(var, vtype, _formula(src, form[3]), args)
+    raise src.error("unknown connective %r" % head, i)
 
 
 def parse_formula(text: str) -> Formula:
-    allow_deep_recursion()
-    return _formula(_read_one(text, "a formula"))
+    return _formula(_Source(text, "a formula"), 0)
 
 
 def format_formula(f: Formula) -> str:
     """Core-shape text; parse_formula(format_formula(f)) is f for f not yet type checked."""
     allow_deep_recursion()
+    return _format(f)
+
+
+def _format(f: Formula) -> str:
     if isinstance(f, Tru):
         return "tt"
     if isinstance(f, Prop):
@@ -288,17 +284,17 @@ def format_formula(f: Formula) -> str:
     if isinstance(f, Apply):
         return "(app %s %s)" % (f.head, " ".join(f.args))
     if isinstance(f, Not):
-        return "(not %s)" % format_formula(f.sub)
+        return "(not %s)" % _format(f.sub)
     if isinstance(f, Or):
-        return "(or %s %s)" % (format_formula(f.left), format_formula(f.right))
+        return "(or %s %s)" % (_format(f.left), _format(f.right))
     if isinstance(f, Exists):
-        return "(exists ((%s %s)) %s)" % (f.var, format_type(f.vtype), format_formula(f.body))
+        return "(exists ((%s %s)) %s)" % (f.var, format_type(f.vtype), _format(f.body))
     if isinstance(f, Pfp):
         return "(pfp (%s %s) (%s) %s)" % (
             f.var,
             format_type(f.vtype),
             " ".join(f.args),
-            format_formula(f.body),
+            _format(f.body),
         )
     raise TypeError("not a formula: %r" % (f,))
 
@@ -307,26 +303,26 @@ def format_formula(f: Formula) -> str:
 # values
 
 
-def _value(node: Node, lts: Lts) -> Value:
-    if isinstance(node, Atom):
+def _value(src: _Source, i: int, lts: Lts) -> Value:
+    form = src.form(i)
+    if isinstance(form, str):
         try:
-            return State(lts.state_index(node.text))
+            return State(lts.state_index(form))
         except ValueError:
-            raise ParseError("unknown state %r" % node.text, node.span) from None
-    head = _head(node)
+            raise src.error("unknown state %r" % form, i) from None
+    head = _head(src, i, form)
     if head == "tuple":
-        if len(node.items) < 2:
-            raise ParseError("tuple needs at least one item", node.span)
-        return Tup(tuple(_value(x, lts) for x in node.items[1:]))
+        if len(form) < 2:
+            raise src.error("tuple needs at least one item", i)
+        return Tup(tuple(_value(src, x, lts) for x in form[1:]))
     if head == "set":
-        return make_set(_value(x, lts) for x in node.items[1:])
-    raise ParseError("unknown value former %r" % head, node.span)
+        return make_set(_value(src, x, lts) for x in form[1:])
+    raise src.error("unknown value former %r" % head, i)
 
 
 def parse_value(text: str, lts: Lts) -> Value:
     """Value literal: a state name, (tuple ...) or (set ...)."""
-    allow_deep_recursion()
-    return _value(_read_one(text, "a value"), lts)
+    return _value(_Source(text, "a value"), 0, lts)
 
 
 def infer_value_type(v: Value) -> Type:

@@ -204,16 +204,15 @@ def iter_index(spec: TowerSpec, names: Slot) -> Iterator[Formula]:
         spine = quantify_exists(spec, pair[j % 2], and_(spine, steps[j % 2]))
 
 
-def build_total_order_axiom(supply: Optional[NameSupply] = None) -> Formula:
+def build_total_order_axiom() -> Formula:
     """The reserved order action is a strict total order on states.
 
     Irreflexivity and transitivity are first order.  Totality needs a
     twist: without built-in equality, "x equals y" is expressed as x and
     y belonging to the same ground sets, which costs one second-order
-    universal.
+    universal.  The formula is closed, so its bound names are fixed.
     """
-    s = supply or NameSupply()
-    x, y, z, cls = s.fresh("x"), s.fresh("y"), s.fresh("z"), s.fresh("S")
+    x, y, z, cls = "x0", "y0", "z0", "S0"
     lt = lambda u, v: Act(ORDER_ACTION, u, v)
     irreflexive = forall(x, GROUND, Not(lt(x, x)))
     transitive = forall_all(

@@ -55,9 +55,12 @@ def test_typecheck_reports_the_order(files, capsys):
 
 
 def test_typecheck_rejects_bad_text(files, capsys):
-    f = files("bad.hof", "(and (prop p)")
-    assert run_cli(["typecheck", "--formula", f]) == 2
-    assert "error:" in capsys.readouterr().err
+    for text, err in (
+        ("(and (prop p)", "error: line 1, col 1: unclosed parenthesis\n"),
+        ("(or tt\n  (bogus x))", "error: line 2, col 3: unknown connective 'bogus'\n"),
+    ):
+        assert run_cli(["typecheck", "--formula", files("bad.hof", text)]) == 2
+        assert capsys.readouterr().err == err
 
 
 # -- eval -------------------------------------------------------------------

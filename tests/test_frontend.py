@@ -8,6 +8,7 @@ import pytest
 
 from _gen import scoped_instance
 from _machines import M_ACC2, M_FIRST1
+from hopfp import frontend
 from hopfp.compiler import CodingContext, ReductionParams, build_machine_formula
 from hopfp.domains import SetV, State, Tup, make_set
 from hopfp.evaluator import compile_formula
@@ -43,6 +44,82 @@ from hopfp.logic import (
 )
 from hopfp.lts import ordered_lts
 
+# (text, str of the ParseError, its span as (start, end, line, col) or None).
+# Offsets count characters, so the "é" before a fault and the "\r" of a
+# CRLF count one each; "\f", "\v" and no-break spaces are atom characters.
+FORMULA_ERRORS = [
+    ("(or tt\n  (bogus x))", "line 2, col 3: unknown connective 'bogus'", (9, 18, 2, 3)),
+    ("tt)", "line 1, col 3: trailing input after a formula", (2, 3, 1, 3)),
+    ("tt (", "line 1, col 4: trailing input after a formula", (3, 4, 1, 4)),
+    ("(bogus x) )", "line 1, col 11: trailing input after a formula", (10, 11, 1, 11)),
+    ("(not tt) tt", "line 1, col 10: trailing input after a formula", (9, 11, 1, 10)),
+    (")", "line 1, col 1: unexpected closing parenthesis", (0, 1, 1, 1)),
+    ("(not tt", "line 1, col 1: unclosed parenthesis", (0, 1, 1, 1)),
+    ("(not (or tt", "line 1, col 6: unclosed parenthesis", (5, 6, 1, 6)),
+    ("", "empty input, expected a formula", None),
+    ("; only a comment\n  \n", "empty input, expected a formula", None),
+    (
+        "; head\r\n(or tt\t; note\r\n\t(bogus x))",
+        "line 3, col 2: unknown connective 'bogus'",
+        (24, 33, 3, 2),
+    ),
+    ("(or tt\fff)", "line 1, col 5: expected a formula, got 'tt\\x0cff'", (4, 9, 1, 5)),
+    ("(or tt\vff)", "line 1, col 5: expected a formula, got 'tt\\x0bff'", (4, 9, 1, 5)),
+    ("(not\u00a0tt)", "line 1, col 1: unknown connective 'not\\xa0tt'", (0, 8, 1, 1)),
+    ("(or (prop café x) (bogus))", "line 1, col 19: unknown connective 'bogus'", (18, 25, 1, 19)),
+    ("foo", "line 1, col 1: expected a formula, got 'foo'", (0, 3, 1, 1)),
+    ("()", "line 1, col 1: expected a keyword after (", (0, 2, 1, 1)),
+    ("(prop p)", "line 1, col 1: prop takes a name and a variable", (0, 8, 1, 1)),
+    ("(act < x)", "line 1, col 1: act takes a name and two variables", (0, 9, 1, 1)),
+    ("(app X)", "line 1, col 1: app takes a set variable and arguments", (0, 7, 1, 1)),
+    ("(not tt tt)", "line 1, col 1: not takes one formula", (0, 11, 1, 1)),
+    ("(imp tt)", "line 1, col 1: imp takes two formulas", (0, 8, 1, 1)),
+    ("(exists ((x o)))", "line 1, col 1: exists takes a binder list and a body", (0, 16, 1, 1)),
+    (
+        "(forall ((x o)) tt tt)",
+        "line 1, col 1: forall takes a binder list and a body",
+        (0, 22, 1, 1),
+    ),
+    (
+        "(pfp (X (set o)) (x))",
+        "line 1, col 1: pfp takes a binder, an argument list and a body",
+        (0, 21, 1, 1),
+    ),
+    ("(pfp (X (set o)) x (app X x))", "line 1, col 18: expected an argument list", (17, 18, 1, 18)),
+    ("(exists () tt)", "line 1, col 9: expected a nonempty binder list", (8, 10, 1, 9)),
+    ("(exists (x o) tt)", "line 1, col 10: expected (VAR TYPE)", (9, 10, 1, 10)),
+    ("(prop (p) x)", "line 1, col 7: expected a proposition name", (6, 9, 1, 7)),
+]
+
+TYPE_ERRORS = [
+    ("int", "line 1, col 1: unknown type 'int'", (0, 3, 1, 1)),
+    ("(set)", "line 1, col 1: set takes one element type", (0, 5, 1, 1)),
+    ("(set o o)", "line 1, col 1: set takes one element type", (0, 9, 1, 1)),
+    ("(tuple)", "line 1, col 1: tuple needs at least one part", (0, 7, 1, 1)),
+    ("(powerset o)", "line 1, col 1: unknown type former 'powerset'", (0, 12, 1, 1)),
+    ("((set) o)", "line 1, col 1: expected a keyword after (", (0, 9, 1, 1)),
+    ("", "empty input, expected a type", None),
+]
+
+VALUE_ERRORS = [
+    ("nope", "line 1, col 1: unknown state 'nope'", (0, 4, 1, 1)),
+    ("s9", "line 1, col 1: unknown state 's9'", (0, 2, 1, 1)),
+    ("(pair s0 s1)", "line 1, col 1: unknown value former 'pair'", (0, 12, 1, 1)),
+    ("(bag s0)", "line 1, col 1: unknown value former 'bag'", (0, 8, 1, 1)),
+    ("(set (tuple s0 s7))", "line 1, col 16: unknown state 's7'", (15, 17, 1, 16)),
+    ("(tuple)", "line 1, col 1: tuple needs at least one item", (0, 7, 1, 1)),
+    ("(set s0", "line 1, col 1: unclosed parenthesis", (0, 1, 1, 1)),
+    (" ; none", "empty input, expected a value", None),
+]
+
+
+def assert_parse_error(parse, text, message, span):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    got = err.value.span
+    assert str(err.value) == message, text
+    assert (got and (got.start, got.end, got.line, got.col)) == span, text
+
 
 class TestTypes:
     def test_parse(self):
@@ -56,14 +133,8 @@ class TestTypes:
             assert parse_type(format_type(t)) == t
 
     def test_errors(self):
-        with pytest.raises(ParseError):
-            parse_type("int")
-        with pytest.raises(ParseError):
-            parse_type("(set)")
-        with pytest.raises(ParseError):
-            parse_type("(tuple)")
-        with pytest.raises(ParseError):
-            parse_type("(powerset o)")
+        for text, message, span in TYPE_ERRORS:
+            assert_parse_error(parse_type, text, message, span)
 
 
 class TestFormulaParsing:
@@ -100,18 +171,26 @@ class TestFormulaParsing:
         assert parse_formula(text) == Or(TT, Not(TT))
 
     def test_error_spans(self):
-        with pytest.raises(ParseError) as err:
-            parse_formula("(or tt\n  (bogus x))")
-        assert err.value.span.line == 2
-        assert "line 2" in str(err.value)
-        with pytest.raises(ParseError):
-            parse_formula("(not tt")
-        with pytest.raises(ParseError):
-            parse_formula("(not tt) tt")
-        with pytest.raises(ParseError):
-            parse_formula("")
-        with pytest.raises(ParseError):
-            parse_formula("(exists (x o) tt)")
+        for text, message, span in FORMULA_ERRORS:
+            assert_parse_error(parse_formula, text, message, span)
+
+    def test_successful_reads_locate_nothing(self, monkeypatch):
+        def no_span(*args):
+            raise AssertionError("a successful read built a SourceSpan")
+
+        monkeypatch.setattr(frontend, "SourceSpan", no_span)
+        assert parse_formula("; note\n(or tt\t(prop p x))") == Or(TT, Prop("p", "x"))
+        assert parse_type("(set (tuple o o))") == SetOf(Compound((G, G)))
+        assert parse_value("(tuple s0 (set s1))", ordered_lts(2)) == Tup((State(0), make_set([State(1)])))
+
+    def test_deep_nesting_reads_and_prints_back(self):
+        depth = 3000
+        built = TT
+        for _ in range(depth):
+            built = Not(built)
+        text = "(not " * depth + "tt" + ")" * depth
+        assert parse_formula(text) is built
+        assert format_formula(built) == text
 
     def test_printer_reads_back(self):
         for seed in range(80):
@@ -171,10 +250,8 @@ class TestValues:
             assert parse_value(format_value(v, self.T), self.T) == v
 
     def test_errors(self):
-        with pytest.raises(ParseError):
-            parse_value("nope", self.T)
-        with pytest.raises(ParseError):
-            parse_value("(pair s0 s1)", self.T)
+        for text, message, span in VALUE_ERRORS:
+            assert_parse_error(lambda t: parse_value(t, self.T), text, message, span)
 
     def test_infer_type(self):
         assert infer_value_type(State(0)) == G
