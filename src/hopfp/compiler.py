@@ -30,7 +30,7 @@ from .domains import (
     index_to_value,
     make_set,
 )
-from .evaluator import EvalStats, _iter_members, compile_formula
+from .evaluator import EvalStats, _iter_members, apply_stage, compile_formula
 from .lts import Lts, order_ranks, ordered_lts
 from .logic import (
     GROUND,
@@ -421,19 +421,10 @@ def stage_image(
     """One application of the stage function to an arbitrary member set.
 
     Exists so tests can probe the stage function off the iteration path,
-    in particular on sets that encode no configuration at all.
+    in particular on sets that encode no configuration at all.  The image
+    is computed as a stage of the fixpoint's own iteration is.
     """
-    compiled = compile_formula(
-        ctx.lts, build_stage_formula(ctx, word), ctx.declarations(), budget
-    )
-    member = Domain(ctx.member_type, ctx.n)
-    env = {SET_VAR: make_set(index_to_value(member, i) for i in members)}
-    out = []
-    for i in range(ctx.tuple_space):
-        env.update(zip(TUPLE_VARS, index_to_value(member, i).items))
-        if compiled(env):
-            out.append(i)
-    return frozenset(out)
+    return apply_stage(ctx.lts, build_stage_fixpoint(ctx, word), members, budget=budget)
 
 
 # -- cross validation -------------------------------------------------------

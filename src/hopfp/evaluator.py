@@ -11,11 +11,18 @@ deterministic sequence cycles forever and the fixpoint is empty.
 Internally values are handled as canonical indices (see domains): a
 ground value is a small integer, a tuple is its mixed-radix index, and a
 set is its characteristic bit mask, so set membership is a single shift.
-Fixpoint stages are kept as frozensets of member indices.  Formulas are
-compiled once per call into closures; results of small stable
-subformulas are memoized for the duration of the call, and each fixpoint
-is iterated once per surrounding environment.  The session keeps the
-whole stage trace of that run, serves the limit to every outer
+Formulas are compiled once per call into closures; results of small
+stable subformulas are memoized for the duration of the call.
+
+A fixpoint body is evaluated a set at a time: during a run a stage is a
+bitset over the binder's argument tuples, bit m standing for the tuple
+with member index m, and each stage is computed as one bitset.  Negation
+and disjunction act on whole bitsets, the binder's variable applied to
+its own arguments is the stage itself, and a subformula that reads a
+single argument is evaluated once per value of that argument and spread
+over the tuples that share it.  Each fixpoint is iterated once per
+surrounding environment.  The session keeps the whole stage trace of
+that run, as sets of member indices, serves the limit to every outer
 quantifier binding from it, and hands the traces out afterwards (see
 CompiledFormula.traces), so nothing has to iterate a fixpoint again to
 inspect its stages.  All of this is invisible in the results: the
@@ -79,6 +86,13 @@ _MEMO_CAP = 1 << 22
 class EvalStats:
     """Deterministic counters for one evaluation.
 
+    subformula_evals counts evaluations of subformulas.  An evaluation at
+    one binding of the free variables counts one.  Inside a fixpoint
+    body, a subformula that reads the binder's arguments is evaluated
+    over all argument tuples at once, to a bitset, and that counts one
+    too, however many tuples there are; the evaluations at one binding
+    it takes for that count on their own.
+
     peak_live_values counts environment bindings plus the members of all
     fixpoint stages retained by in-flight iterations (the stabilization
     check keeps every stage seen so far) plus member tuples kept by
@@ -117,7 +131,13 @@ class PfpTrace:
 
 
 class _Session:
-    """One evaluation run: compiled plan, caches and counters."""
+    """One evaluation run: compiled plan, caches and counters.
+
+    The table of compiled subterms (code) is filled while a formula is
+    compiled and emptied afterwards, so that no closure stays reachable
+    from the session and a dropped formula is freed as soon as its last
+    reference goes.
+    """
 
     def __init__(
         self,
@@ -166,7 +186,22 @@ class _Session:
             self.cards[t] = c
         return c
 
+    def sweep_card(self, t: Type) -> int:
+        """Size of a domain a quantifier enumerates, checked against the budget."""
+        card = self.card(t)
+        if card > self.budget:
+            raise BudgetError(
+                "existential over a domain of size %d exceeds budget %d" % (card, self.budget)
+            )
+        return card
+
     # -- compilation ------------------------------------------------------
+
+    def compile_root(self, f: Formula) -> Callable:
+        try:
+            return self.compile(f)
+        finally:
+            self.code.clear()
 
     def compile(self, f: Formula, pfp_scope: frozenset = frozenset()) -> Callable:
         # shared subterms compile once
@@ -265,26 +300,17 @@ class _Session:
         combine = self._combiner(f.elem, f.args)
         def apply_cl(env: dict) -> bool:
             stats.subformula_evals += 1
-            x = env[head]
-            m = combine(env)
-            if type(x) is int:
-                return (x >> m) & 1 == 1
-            return m in x
+            return (env[head] >> combine(env)) & 1 == 1
         return apply_cl
 
     def _compile_exists(self, f: Exists, pfp_scope: frozenset) -> Callable:
         stats = self.stats
         var = f.var
-        card = self.card(f.vtype)
-        over = card > self.budget
+        card = self.sweep_card(f.vtype)
         body = self.compile(f.body, pfp_scope)
         sess = self
         def exists_cl(env: dict) -> bool:
             stats.subformula_evals += 1
-            if over:
-                raise BudgetError(
-                    "existential over a domain of size %d exceeds budget %d" % (card, sess.budget)
-                )
             old = env.get(var, _MISSING)
             sess.grow(2)
             try:
@@ -303,79 +329,87 @@ class _Session:
 
     # -- guarded existential chains --------------------------------------
 
-    def _member_plan(self, f: Exists, pfp_scope: frozenset) -> Optional[Callable]:
-        """Plan for an exists-chain guarded by a membership atom.
+    def guarded_chain(self, f: Exists) -> Optional[tuple]:
+        """(guard, its argument radices, other conjuncts) of a guarded chain.
 
         When a block of existentials binds exactly the arguments of an
-        application of an outer set variable, the satisfying bindings can
-        only come from members of that set, so the plan walks the set
-        instead of the full product.  Extensionally identical to plain
-        enumeration.
+        application of an outer set variable (the guard), the satisfying
+        bindings can only come from members of that set, so the chain can
+        walk the set instead of the full product.  None when f is no such
+        chain.
         """
-        chain: list[tuple[str, Type]] = []
+        names: list = []
         body: Formula = f
         while isinstance(body, Exists):
-            chain.append((body.var, body.vtype))
+            names.append(body.var)
             body = body.body
-        names = [v for v, _ in chain]
         if len(set(names)) != len(names):
             return None
         conjuncts = _flatten_and(body)
-        guard_at = None
         for i, c in enumerate(conjuncts):
             if isinstance(c, Apply) and list(c.args) == names and c.head not in names:
-                guard_at = i
-                break
-        if guard_at is None:
+                if c.elem is None:
+                    raise ConformanceError("formula was not type checked before evaluation")
+                radices = tuple(map(self.card, applied_arg_types(SetOf(c.elem))))
+                return c, radices, conjuncts[:i] + conjuncts[i + 1:]
+        return None
+
+    def passing_members(self, f: Exists, x: int, names: tuple, radices: tuple, local: list) -> tuple:
+        """Argument tuples of the members of set x that pass the local conjuncts.
+
+        Conjuncts over the chain variables alone are evaluated once per
+        set value and the surviving tuples are kept in plans; the chain's
+        other conjuncts run per call.
+        """
+        arity = len(names)
+        kept = []
+        tmp: dict = {}
+        for m in _iter_members(x):
+            rem = m
+            comps = [0] * arity
+            for j in range(arity - 1, 0, -1):
+                rem, comps[j] = divmod(rem, radices[j])
+            comps[0] = rem
+            for v, i in zip(names, comps):
+                tmp[v] = i
+            for clo in local:
+                if not clo(tmp):
+                    break
+            else:
+                kept.append(tuple(comps))
+        passing = tuple(kept)
+        self.plans[(f, x)] = passing
+        self.grow(len(passing))
+        return passing
+
+    def _member_plan(self, f: Exists, pfp_scope: frozenset) -> Optional[Callable]:
+        """Plan for an exists-chain guarded by a membership atom (see
+        guarded_chain).  Extensionally identical to plain enumeration."""
+        chain = self.guarded_chain(f)
+        if chain is None:
             return None
-        guard = conjuncts[guard_at]
-        assert isinstance(guard, Apply)
-        if guard.elem is None:
-            raise ConformanceError("formula was not type checked before evaluation")
+        guard, radices, rest = chain
+        names = guard.args
         stats = self.stats
         head = guard.head
-        arity = len(names)
-        sess = self
-        rest = [c for j, c in enumerate(conjuncts) if j != guard_at]
         if not rest:
             # plain nonemptiness probe, cheap regardless of set size
             def any_member_cl(env: dict) -> bool:
                 stats.subformula_evals += 1
-                for _ in _iter_members(env[head]):
-                    return True
-                return False
+                return env[head] != 0
             return any_member_cl
-        radices = tuple(map(self.card, applied_arg_types(SetOf(guard.elem))))
-        # conjuncts over the chain variables alone are evaluated once per
-        # set value and the surviving member tuples are cached; conjuncts
-        # that also look at outer bindings run per call as usual
         name_set = frozenset(names)
         local = [self.compile(c, pfp_scope) for c in rest if c.free <= name_set]
         outer = [self.compile(c, pfp_scope) for c in rest if not (c.free <= name_set)]
+        arity = len(names)
         plans = self.plans
+        sess = self
         def member_cl(env: dict) -> bool:
             stats.subformula_evals += 1
             x = env[head]
             passing = plans.get((f, x))
             if passing is None:
-                kept = []
-                tmp: dict = {}
-                for m in _iter_members(x):
-                    rem = m
-                    comps = [0] * arity
-                    for j in range(arity - 1, 0, -1):
-                        rem, comps[j] = divmod(rem, radices[j])
-                    comps[0] = rem
-                    for v, i in zip(names, comps):
-                        tmp[v] = i
-                    for clo in local:
-                        if not clo(tmp):
-                            break
-                    else:
-                        kept.append(tuple(comps))
-                passing = tuple(kept)
-                plans[(f, x)] = passing
-                sess.grow(len(passing))
+                passing = sess.passing_members(f, x, names, radices, local)
             if not outer:
                 return bool(passing)
             saved = {v: env.get(v, _MISSING) for v in names}
@@ -399,65 +433,274 @@ class _Session:
 
     def _compile_pfp(self, f: Pfp, pfp_scope: frozenset) -> Callable:
         stats = self.stats
-        assert isinstance(f.vtype, SetOf)
-        elem = f.vtype.elem
-        comp_cards = tuple(map(self.card, applied_arg_types(f.vtype)))
+        stage = _StageCompiler(self, f, pfp_scope).compile()
         residual = tuple(sorted(f.free - set(f.args)))
-        body = self.compile(f.body, pfp_scope | {f.var})
-        combine = self._combiner(elem, f.args)
+        combine = self._combiner(f.vtype.elem, f.args)
         sess = self
         def pfp_cl(env: dict) -> bool:
             stats.subformula_evals += 1
             key = (f,) + tuple(env[v] for v in residual)
             trace = sess.limits.get(key)
             if trace is None:
-                trace = sess.run_pfp(f, body, comp_cards, env)
+                trace = sess.run_pfp(f, stage, env)
                 sess.limits[key] = trace
                 sess.grow(len(trace.limit()))
             return combine(env) in trace.limit()
         return pfp_cl
 
-    def run_pfp(self, f: Pfp, body: Callable, comp_cards: tuple, env: dict) -> PfpTrace:
-        space = prod(comp_cards)
-        if space > self.budget:
-            raise BudgetError(
-                "fixpoint over a tuple space of size %d exceeds budget %d" % (space, self.budget)
-            )
+    def run_pfp(self, f: Pfp, stage: "_Stage", env: dict) -> PfpTrace:
         stats = self.stats
-        names = f.args
         var = f.var
-        saved = {v: env.get(v, _MISSING) for v in names + (var,)}
-        self.grow(len(names) + 2)
+        saved = {v: env.get(v, _MISSING) for v in f.args + (var,)}
+        self.grow(len(f.args) + 2)
         stored = 0
         try:
-            prev: frozenset = frozenset()
+            prev = 0
             seen = {prev: 0}
             stages = [prev]
-            ranges = [range(c) for c in comp_cards]
             while True:
                 stats.pfp_iterations += 1
                 env[var] = prev
-                members = []
-                m = 0
-                for comps in product(*ranges):
-                    for v, i in zip(names, comps):
-                        env[v] = i
-                    if body(env):
-                        members.append(m)
-                    m += 1
-                nxt = frozenset(members)
-                self.grow(len(nxt))
-                stored += len(nxt)
+                nxt = stage.image(env)
+                size = nxt.bit_count()
+                self.grow(size)
+                stored += size
                 stages.append(nxt)
                 if nxt == prev:
-                    return PfpTrace(tuple(stages), "stabilized", seen[prev], f.vtype.elem, self.n)
+                    return _trace(f, stages, "stabilized", seen[prev], self.n)
                 if nxt in seen:
-                    return PfpTrace(tuple(stages), "no-fixpoint", None, f.vtype.elem, self.n)
+                    return _trace(f, stages, "no-fixpoint", None, self.n)
                 seen[nxt] = len(stages) - 1
                 prev = nxt
         finally:
+            stage.end_run()
             _restore(env, saved)
-            self.shrink(len(names) + 2 + stored)
+            self.shrink(len(f.args) + 2 + stored)
+
+
+def _trace(f: Pfp, stages: list, outcome: str, at: Optional[int], n: int) -> PfpTrace:
+    return PfpTrace(tuple(frozenset(_iter_members(s)) for s in stages), outcome, at, f.vtype.elem, n)
+
+
+class _Stage:
+    """The body of one fixpoint binder compiled to act on whole stages.
+
+    image(env) is the bitset of the argument tuples at which the body
+    holds, with the binder's variable bound in env to the current stage
+    bitset.  Masks of subformulas evaluated per argument value are cached
+    for one run: those that read the stage for one stage, the others
+    until end_run.
+    """
+
+    def __init__(self, mask: Callable, run: dict, step: dict) -> None:
+        self.mask = mask
+        self.run = run
+        self.step = step
+
+    def image(self, env: dict) -> int:
+        self.step.clear()
+        return self.mask(env)
+
+    def end_run(self) -> None:
+        self.run.clear()
+        self.step.clear()
+
+
+class _StageCompiler:
+    """Compiles one fixpoint body into a _Stage.
+
+    With (card, stride, unit, rep) = axes[v] for an argument v, tuple m
+    of the argument space gives v the value (m // stride) % card, so the
+    tuples that give it the value i form the bitset
+    (unit << i * stride) * rep: a block of stride ones, unit, repeated
+    once per value of the arguments before v.
+
+    A subformula is compiled against the set of names bound between the
+    binder and it; an argument bound again there is an ordinary variable.
+    The closures it makes reach neither the compiler nor each other in a
+    cycle.
+    """
+
+    def __init__(self, sess: _Session, f: Pfp, pfp_scope: frozenset) -> None:
+        assert isinstance(f.vtype, SetOf)
+        self.sess = sess
+        self.f = f
+        # scope of the scalar closures compiled for the body
+        self.scope = pfp_scope | {f.var}
+        cards = tuple(map(sess.card, applied_arg_types(f.vtype)))
+        space = prod(cards)
+        if space > sess.budget:
+            raise BudgetError(
+                "fixpoint over a tuple space of size %d exceeds budget %d" % (space, sess.budget)
+            )
+        self.full = full = (1 << space) - 1
+        strides = [prod(cards[j + 1:]) for j in range(len(cards))]
+        self.axes = {
+            v: (c, s, (1 << s) - 1, full // ((1 << c * s) - 1))
+            for v, c, s in zip(f.args, cards, strides)
+        }
+        self.run: dict = {}
+        self.step: dict = {}
+        self.table: dict = {}
+
+    def compile(self) -> _Stage:
+        return _Stage(self.mask(self.f.body, frozenset()), self.run, self.step)
+
+    def mask(self, g: Formula, bound: frozenset) -> Callable:
+        key = (g, bound & g.free)
+        got = self.table.get(key)
+        if got is None:
+            got = self.table[key] = self._mask(g, key[1])
+        return got
+
+    def _mask(self, g: Formula, bound: frozenset) -> Callable:
+        sess, f, full = self.sess, self.f, self.full
+        stats = sess.stats
+        argv = [v for v in f.args if v in g.free and v not in bound]
+        if not argv:
+            clo = sess.compile(g, self.scope)
+            def const_mask(env: dict) -> int:
+                return full if clo(env) else 0
+            return const_mask
+        if (
+            isinstance(g, Apply)
+            and g.head == f.var
+            and f.var not in bound
+            and g.args == f.args
+            and len(argv) == len(f.args)
+        ):
+            var = f.var
+            def stage_mask(env: dict) -> int:
+                stats.subformula_evals += 1
+                return env[var]
+            return stage_mask
+        if len(argv) == 1:
+            return self._leaf(g, argv, bound)
+        if isinstance(g, Not):
+            sub = self.mask(g.sub, bound)
+            def not_mask(env: dict) -> int:
+                stats.subformula_evals += 1
+                return full ^ sub(env)
+            return not_mask
+        if isinstance(g, Or):
+            left = self.mask(g.left, bound)
+            right = self.mask(g.right, bound)
+            def or_mask(env: dict) -> int:
+                stats.subformula_evals += 1
+                m = left(env)
+                return m if m == full else m | right(env)
+            return or_mask
+        if isinstance(g, Exists):
+            chain = sess.guarded_chain(g)
+            if chain is not None and chain[0].head not in argv:
+                return self._chain(g, chain, bound)
+            return self._exists(g, bound)
+        return self._leaf(g, argv, bound)
+
+    def _exists(self, g: Exists, bound: frozenset) -> Callable:
+        sess, full = self.sess, self.full
+        stats = sess.stats
+        var = g.var
+        card = sess.sweep_card(g.vtype)
+        body = self.mask(g.body, bound | {var})
+        def exists_mask(env: dict) -> int:
+            stats.subformula_evals += 1
+            saved = {var: env.get(var, _MISSING)}
+            sess.grow(2)
+            acc = 0
+            try:
+                for i in range(card):
+                    env[var] = i
+                    acc |= body(env)
+                    if acc == full:
+                        break
+                return acc
+            finally:
+                _restore(env, saved)
+                sess.shrink(2)
+        return exists_mask
+
+    def _chain(self, g: Exists, chain: tuple, bound: frozenset) -> Callable:
+        """A guarded chain: the union over the guard set's passing members of
+        the intersection of the other conjuncts' masks."""
+        sess, full = self.sess, self.full
+        stats = sess.stats
+        guard, radices, rest = chain
+        names = guard.args
+        name_set = frozenset(names)
+        local = [sess.compile(c, self.scope) for c in rest if c.free <= name_set]
+        outer = [self.mask(c, bound | name_set) for c in rest if not (c.free <= name_set)]
+        head = guard.head
+        arity = len(names)
+        plans = sess.plans
+        def member_mask(env: dict) -> int:
+            stats.subformula_evals += 1
+            x = env[head]
+            passing = plans.get((g, x))
+            if passing is None:
+                passing = sess.passing_members(g, x, names, radices, local)
+            saved = {v: env.get(v, _MISSING) for v in names}
+            sess.grow(arity + 1)
+            acc = 0
+            try:
+                for comps in passing:
+                    for v, i in zip(names, comps):
+                        env[v] = i
+                    m = full
+                    for conjunct in outer:
+                        m &= conjunct(env)
+                        if not m:
+                            break
+                    acc |= m
+                    if acc == full:
+                        break
+                return acc
+            finally:
+                _restore(env, saved)
+                sess.shrink(arity + 1)
+        return member_mask
+
+    def _leaf(self, g: Formula, argv: list, bound: frozenset) -> Callable:
+        """g evaluated at one binding per value of the arguments it reads.
+
+        The values of the last of those arguments give one row of blocks,
+        spread over the space by one multiplication; every combination of
+        the others, if any, cuts its rows down to the tuples carrying it.
+        The result is cached by the values of g's variables bound inside
+        the body.
+        """
+        stats = self.sess.stats
+        clo = self.sess.compile(g, self.scope)
+        var = self.f.var
+        cache = self.step if var in g.free and var not in bound else self.run
+        tag = len(self.table)
+        keyvars = tuple(sorted(g.free & bound))
+        last = argv[-1]
+        card, stride, unit, rep = self.axes[last]
+        outer = argv[:-1]
+        cuts = [self.axes[v] for v in outer]
+        def leaf_mask(env: dict) -> int:
+            stats.subformula_evals += 1
+            key = (tag,) + tuple(env[v] for v in keyvars)
+            hit = cache.get(key)
+            if hit is None:
+                hit = 0
+                for combo in product(*[range(axis[0]) for axis in cuts]):
+                    for v, i in zip(outer, combo):
+                        env[v] = i
+                    row = 0
+                    for i in range(card):
+                        env[last] = i
+                        if clo(env):
+                            row |= unit << i * stride
+                    if row:
+                        m = row * rep
+                        for (_, s, u, r), i in zip(cuts, combo):
+                            m &= (u << i * s) * r
+                        hit |= m
+                cache[key] = hit
+            return hit
+        return leaf_mask
 
 
 def _flatten_and(f: Formula) -> list:
@@ -481,14 +724,13 @@ def _restore(env: dict, saved: dict) -> None:
             env[v] = old
 
 
-def _iter_members(x):
-    if type(x) is int:
-        while x:
-            low = x & -x
-            yield low.bit_length() - 1
-            x ^= low
-    else:
-        yield from x
+def _iter_members(x: int):
+    """Member indices of a set bit mask, in increasing order."""
+    digits = bin(x)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
 
 
 class CompiledFormula:
@@ -504,7 +746,7 @@ class CompiledFormula:
         self._session = session
         self._declared = declared
         self._free = tuple(sorted(checked.free))
-        self._root = session.compile(checked)
+        self._root = session.compile_root(checked)
         self.formula = checked
 
     @property
@@ -522,20 +764,26 @@ class CompiledFormula:
 
     def __call__(self, env: Optional[Environment] = None) -> bool:
         session = self._session
-        ienv: dict = {}
-        for var, value in (env or {}).items():
-            t = self._declared.get(var)
-            if t is None:
-                raise ConformanceError("binding for undeclared variable %r" % var)
-            ienv[var] = canonical_index(Domain(t, session.n), value)
-        for var in self._free:
-            if var not in ienv:
-                raise ConformanceError("free variable %r has no binding" % var)
+        ienv = _index_env(session.n, self._declared, self._free, env)
         session.grow(len(ienv))
         try:
             return self._root(ienv)
         finally:
             session.shrink(len(ienv))
+
+
+def _index_env(n: int, declared: dict, free: tuple, env: Optional[Environment]) -> dict:
+    """Canonical indices of the bindings, which must cover the free variables."""
+    ienv: dict = {}
+    for var, value in (env or {}).items():
+        t = declared.get(var)
+        if t is None:
+            raise ConformanceError("binding for undeclared variable %r" % var)
+        ienv[var] = canonical_index(Domain(t, n), value)
+    for var in free:
+        if var not in ienv:
+            raise ConformanceError("free variable %r has no binding" % var)
+    return ienv
 
 
 def compile_formula(
@@ -546,7 +794,12 @@ def compile_formula(
     stats: Optional[EvalStats] = None,
     live_budget: Optional[int] = None,
 ) -> CompiledFormula:
-    """Type check the formula and prepare it for repeated evaluation."""
+    """Type check the formula and prepare it for repeated evaluation.
+
+    Raises BudgetError already here when a quantifier would sweep, or a
+    fixpoint would iterate over, a domain larger than the budget, whether
+    or not an evaluation would reach it.
+    """
     allow_deep_recursion()
     checked = check_well_formed(f, ctx)
     stats = stats if stats is not None else EvalStats()
@@ -568,10 +821,28 @@ def evaluate(
     Free variables must be declared in ctx and bound in env to values of
     their declared types.  Raises TypingError on ill-formed formulas,
     ConformanceError on bad bindings, BudgetError when a quantifier or
-    fixpoint would traverse a domain larger than the budget, or when the
-    live value count passes live_budget if one is given.
+    fixpoint of the formula would traverse a domain larger than the
+    budget (see compile_formula), or when the live value count passes
+    live_budget if one is given.
     """
     return compile_formula(lts, f, ctx, budget, stats, live_budget)(env)
+
+
+def _binder_scope(
+    lts: Lts, f: Pfp, env: Optional[Environment], ctx: Optional[TypingContext]
+) -> tuple[dict, dict]:
+    """Declarations and bindings for a fixpoint binder evaluated on its
+    own, with the arguments declared and bound if they are not."""
+    if not isinstance(f, Pfp):
+        raise TypeError("not a fixpoint binder: %r" % (f,))
+    declared = dict(ctx) if ctx else {}
+    bound = dict(env) if env else {}
+    if isinstance(f.vtype, SetOf):
+        for v, t in zip(f.args, applied_arg_types(f.vtype)):
+            declared.setdefault(v, t)
+            # any value serves: the stage function ranges over all of them
+            bound.setdefault(v, index_to_value(Domain(declared[v], lts.n), 0))
+    return declared, bound
 
 
 def pfp_iterate(
@@ -588,19 +859,41 @@ def pfp_iterate(
     The binder is compiled and evaluated like any formula, and the trace
     is the one that run records.  The argument variables need no
     bindings or declarations: their types are forced by the binder's
-    type and the stage function rebinds them for every candidate tuple.
-    Other free variables of the body must be declared and bound as for
+    type and the stage function ranges over all their values.  Other
+    free variables of the body must be declared and bound as for
     evaluate.
     """
-    if not isinstance(f, Pfp):
-        raise TypeError("not a fixpoint binder: %r" % (f,))
-    declared = dict(ctx) if ctx else {}
-    bound = dict(env) if env else {}
-    if isinstance(f.vtype, SetOf):
-        for v, t in zip(f.args, applied_arg_types(f.vtype)):
-            declared.setdefault(v, t)
-            # any value serves: the stage function rebinds the arguments
-            bound.setdefault(v, index_to_value(Domain(declared[v], lts.n), 0))
+    declared, bound = _binder_scope(lts, f, env, ctx)
     compiled = compile_formula(lts, f, declared, budget, stats, live_budget)
     compiled(bound)
     return compiled.traces[-1]
+
+
+def apply_stage(
+    lts: Lts,
+    f: Pfp,
+    members: frozenset,
+    env: Optional[Environment] = None,
+    ctx: Optional[TypingContext] = None,
+    budget: int = DEFAULT_ENUM_BUDGET,
+) -> frozenset:
+    """One application of the binder's stage function to any member set.
+
+    members are canonical indices into the element domain, as in the
+    stages of a PfpTrace; the image is computed a set at a time, as a
+    stage of an iteration is.  Declarations and bindings are as for
+    pfp_iterate.
+    """
+    declared, bound = _binder_scope(lts, f, env, ctx)
+    checked = check_well_formed(f, declared)
+    session = _Session(lts, budget, EvalStats())
+    try:
+        stage = _StageCompiler(session, checked, frozenset()).compile()
+    finally:
+        session.code.clear()
+    ienv = _index_env(lts.n, declared, tuple(sorted(checked.free)), bound)
+    ienv[f.var] = sum(1 << m for m in set(members))
+    try:
+        return frozenset(_iter_members(stage.image(ienv)))
+    finally:
+        stage.end_run()

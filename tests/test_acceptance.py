@@ -2,8 +2,8 @@
 
 Run with -v to get one pass or fail line per criterion.  Everything is
 exact; where a criterion carries a runtime ceiling the test measures and
-asserts it.  The one long case is marked "extended" and can be left out
-with -m "not extended".
+asserts it.  The two long cases, c07 at three states and c08, are marked
+"extended" and can be left out with -m "not extended".
 """
 
 import itertools
@@ -250,6 +250,18 @@ def test_c07_height_two_geometry_smoke():
 
 
 @pytest.mark.extended
+def test_c07_height_two_stage_replay_on_three_states():
+    # height two over a three state host: 256 cells, 589,824 tuples,
+    # and a run that sweeps ten cells before it accepts
+    began = time.monotonic()
+    rep = crossval(M_SWEEP, ReductionParams(2, 1), word="1" * 10, n=3, check_stages=True)
+    assert rep.cells == 256 and rep.tuple_space == 589824
+    assert rep.machine_accepted and rep.agree
+    assert rep.stages_match and rep.stage_count - 1 == 13
+    assert time.monotonic() - began < 120
+
+
+@pytest.mark.extended
 def test_c08_encoded_mode_end_to_end():
     began = time.monotonic()
     # the requested shape: width two, height one, 512 cells.  512 cells
@@ -264,11 +276,13 @@ def test_c08_encoded_mode_end_to_end():
         CodingContext(ordered_lts(3), M_LASTPROP, ReductionParams(1, 2))
 
     host = ordered_lts(6, (), ("p",), labels={(5, "p")})
-    rep = crossval(M_LASTPROP, P11, lts=host)
+    rep = crossval(M_LASTPROP, P11, lts=host, check_stages=True)
     assert rep.mode == "encoded"
     assert rep.cells == 64 and rep.tuple_space == 147456
     assert rep.machine_accepted and rep.formula_accepted and rep.agree
-    assert time.monotonic() - began < 7200
+    assert rep.stages_match and rep.stage_count == 57
+    assert time.monotonic() - began < 120
+
 
 
 def test_c09_space_discipline():

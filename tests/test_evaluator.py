@@ -5,7 +5,9 @@ random small systems are evaluated both by the fast evaluator and by the
 literal structural one in _reference, which share no code paths.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +18,10 @@ from _reference import ref_eval, ref_pfp_limit
 from hopfp.domains import (
     BudgetError,
     ConformanceError,
+    Domain,
     SetV,
     State,
+    index_to_value,
     make_set,
 )
 from hopfp.evaluator import EvalStats, compile_formula, evaluate, pfp_iterate
@@ -107,6 +111,39 @@ class TestBasics:
         with pytest.raises(BudgetError):
             evaluate(T, f, budget=100)
         assert evaluate(T, f, budget=512)
+
+    def test_budget_is_checked_when_compiling(self):
+        # no evaluation reaches these quantifiers, since the disjunct
+        # before them always holds; the budget holds for them all the same
+        T = lab_lts()
+        unreached = Or(TT, Exists("R", SetOf(GG), TT))
+        with pytest.raises(BudgetError):
+            compile_formula(T, unreached, budget=100)
+        assert evaluate(T, unreached, budget=512)
+        in_body = Pfp("X", SetOf(G), Or(TT, Exists("R", SetOf(GG), Apply("X", ("x",)))), ("x",))
+        with pytest.raises(BudgetError):
+            compile_formula(T, Exists("x", G, in_body), budget=100)
+        assert pfp_iterate(T, in_body, budget=512).limit() == frozenset({0, 1, 2})
+        # so does the tuple space a fixpoint iterates over
+        pairs = Exists("u", G, Exists("v", G, Pfp("X", SetOf(GG), Act("a", "u", "v"), ("u", "v"))))
+        with pytest.raises(BudgetError):
+            compile_formula(T, pairs, budget=8)
+        assert evaluate(T, pairs, budget=9)
+
+    def test_dropped_formula_is_freed_without_the_cycle_collector(self):
+        T = lab_lts()
+        pf = Pfp("X", SetOf(G), Or(Prop("p", "x"),
+                 Exists("y", G, and_(Apply("X", ("y",)), Act("a", "y", "x")))), ("x",))
+        f = Exists("x", G, and_(pf, Exists("z", G, Act("a", "x", "z"))))
+        gc.disable()
+        try:
+            compiled = compile_formula(T, f)
+            assert compiled()
+            session = weakref.ref(compiled._session)
+            del compiled
+            assert session() is None
+        finally:
+            gc.enable()
 
 
 class TestPfp:
@@ -210,6 +247,16 @@ class TestPfp:
 
 
 class TestStats:
+    def test_a_stage_counts_as_one_evaluation(self):
+        # the body is the stage itself, evaluated over all nine argument
+        # pairs at once: one count for it, one for the binder
+        pf = Pfp("X", SetOf(GG), Apply("X", ("u", "v")), ("u", "v"))
+        stats = EvalStats()
+        tr = pfp_iterate(lab_lts(), pf, stats=stats)
+        assert tr.stages == (frozenset(), frozenset())
+        assert stats.pfp_iterations == 1
+        assert stats.subformula_evals == 2
+
     def test_counts_are_deterministic(self):
         T = lab_lts()
         f = Exists("X", SetOf(G), Exists("x", G,
@@ -248,7 +295,8 @@ def _assert_pfp_trace_matches_reference(T, pf: Pfp, scope: dict, env: dict) -> N
     ctx = {v: t for v, t in scope.items() if v not in pf.args}
     tr = pfp_iterate(T, pf, env=env, ctx=ctx)
     assert [tr.stage_value(i) for i in range(len(tr.stages))] == ref_stages
-    assert make_set([State(i) for i in tr.limit()]) == ref_limit
+    elem = Domain(pf.vtype.elem, T.n)
+    assert make_set([index_to_value(elem, i) for i in tr.limit()]) == ref_limit
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -277,6 +325,50 @@ def test_differential_pfp_traces_under_a_set_binding(seed):
         body = random_formula(rng, dict(scope, X=SetOf(G)), 2, {"pfp": 1, "setq": 1})
     pf = Pfp("X", SetOf(G), body, ("g1",))
     _assert_pfp_trace_matches_reference(T, pf, scope, {"g2": State(0), "Y": Y})
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_differential_pfp_traces_over_argument_tuples(seed):
+    # a binder over pairs or triples, so that its stages are evaluated
+    # over several arguments at once; every body holds the stage applied
+    # to swapped arguments, a quantifier that rebinds an argument's name
+    # and a nested fixpoint that reads an outer argument, among random
+    # parts.  Only with a third argument does a quantifier rebinding one
+    # still leave two arguments free, so that it is evaluated on sets.
+    rng = random.Random(seed)
+    T = random_lts(rng)
+    args = ("g1", "g2", "g3")[: rng.choice((2, 3))]
+    X = SetOf(Compound((G,) * len(args)))
+    scope = {"g1": G, "g2": G, "g3": G, "g4": G}
+    inner = dict(scope, X=X)
+    fuel = {"pfp": 1, "setq": 1}
+
+    def mix(parts):
+        rng.shuffle(parts)
+        out = parts[0]
+        for part in parts[1:]:
+            out = rng.choice([Or, and_])(out, Not(part) if rng.random() < 0.3 else part)
+        return out
+
+    shadowing = mix([
+        Act(rng.choice("a<"), "g1", "g2"),
+        Prop(rng.choice("pq"), args[-1]),
+        random_formula(rng, inner, 2, fuel),
+    ])
+    nested = mix([
+        Act(rng.choice("a<"), "g1", "g2"),
+        random_formula(rng, dict(inner, Y=SetOf(G)), 2, fuel),
+    ])
+    body = mix([
+        Apply("X", ("g2", "g1") + args[2:]),
+        Exists("g1", G, shadowing),
+        Pfp("Y", SetOf(G), nested, ("g2",)),
+        random_formula(rng, inner, 2, fuel),
+    ])
+    pf = Pfp("X", X, body, args)
+    env = {v: State(rng.randrange(T.n)) for v in scope if v not in args}
+    _assert_pfp_trace_matches_reference(T, pf, scope, env)
 
 
 def test_member_guarded_chain_matches_reference():
