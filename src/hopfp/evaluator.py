@@ -11,28 +11,30 @@ deterministic sequence cycles forever and the fixpoint is empty.
 Internally values are handled as canonical indices (see domains): a
 ground value is a small integer, a tuple is its mixed-radix index, and a
 set is its characteristic bit mask, so set membership is a single shift.
-Formulas are compiled once per call into closures; results of small
-stable subformulas are memoized for the duration of the call.
 
-A fixpoint body is evaluated a set at a time: during a run a stage is a
-bitset over the binder's argument tuples, bit m standing for the tuple
-with member index m, and each stage is computed as one bitset.  Negation
-and disjunction act on whole bitsets, the binder's variable applied to
-its own arguments is the stage itself, and a subformula that reads a
-single argument is evaluated once per value of that argument and spread
-over the tuples that share it.  Each fixpoint is iterated once per
-surrounding environment.  The session keeps the whole stage trace of
-that run, as sets of member indices, serves the limit to every outer
-quantifier binding from it, and hands the traces out afterwards (see
-CompiledFormula.traces), so nothing has to iterate a fixpoint again to
-inspect its stages.  All of this is invisible in the results: the
-semantics is exactly the structural one.
+One compiler turns a formula, once per call, into closures over a space
+of argument tuples: a closure maps an environment to the bitset of the
+tuples at which its subformula holds, bit m standing for the tuple with
+member index m.  The scalar space has no arguments and one tuple, so
+there a closure returns 1 or 0; plain evaluation is that case.  A
+fixpoint body is compiled in the space of its binder's argument tuples,
+so each stage is computed as one bitset: negation and disjunction act on
+whole bitsets, the binder's variable applied to its own arguments is the
+stage itself, and a subformula that reads a single argument is evaluated
+in the scalar space once per value of it and spread over the tuples that
+share it.  Small stable subformulas of the scalar space are memoized.
+
+Each fixpoint is iterated once per surrounding environment.  The session
+keeps the stage trace of that run, as sets of member indices, serves the
+limit to every outer quantifier binding from it, and hands the traces
+out afterwards (see CompiledFormula.traces).  All of this is invisible
+in the results: the semantics is exactly the structural one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import count, product
 from math import prod
 from typing import Callable, Mapping, Optional
 
@@ -71,6 +73,8 @@ from .lts import Lts
 Environment = Mapping[str, Value]
 
 _MISSING = object()
+
+_NO_NAMES: frozenset = frozenset()
 
 # results of subformulas over at most this many free variables are memoized
 _MEMO_MAX_VARS = 2
@@ -130,13 +134,43 @@ class PfpTrace:
         return make_set(index_to_value(d, m) for m in self.stages[i])
 
 
+class _Space:
+    """The argument tuples a subformula is compiled over.
+
+    full is the bitset of all the tuples: 1 in the scalar space, which
+    has no arguments.  In a fixpoint binder's space, with (card, stride,
+    unit, rep) = axes[v] for an argument v, tuple m gives v the value
+    (m // stride) % card, so the tuples that give it the value i form
+    the bitset (unit << i * stride) * rep: a block of stride ones, unit,
+    repeated once per value of the arguments before v.  scope holds the
+    fixpoint variables bound around the space's subformulas, the
+    binder's own included; run and step cache per-argument masks for
+    one run of the binder and for one stage of it.
+    """
+
+    def __init__(
+        self, scope: frozenset, var: Optional[str] = None, args: tuple = (), cards: tuple = ()
+    ) -> None:
+        self.scope = scope
+        self.var = var
+        self.args = args
+        self.full = full = (1 << prod(cards)) - 1
+        strides = [prod(cards[j + 1:]) for j in range(len(cards))]
+        self.axes = {
+            v: (c, s, (1 << s) - 1, full // ((1 << c * s) - 1))
+            for v, c, s in zip(args, cards, strides)
+        }
+        self.run: dict = {}
+        self.step: dict = {}
+
+
 class _Session:
     """One evaluation run: compiled plan, caches and counters.
 
-    The table of compiled subterms (code) is filled while a formula is
-    compiled and emptied afterwards, so that no closure stays reachable
-    from the session and a dropped formula is freed as soon as its last
-    reference goes.
+    The tables of compiled subterms (code) and of scalar spaces are
+    filled while a formula is compiled and emptied afterwards, so that
+    no closure stays reachable from the session and a dropped formula is
+    freed as soon as its last reference goes.
     """
 
     def __init__(
@@ -146,7 +180,6 @@ class _Session:
         stats: EvalStats,
         live_budget: Optional[int] = None,
     ) -> None:
-        self.lts = lts
         self.n = lts.n
         self.budget = budget
         self.live_budget = float("inf") if live_budget is None else live_budget
@@ -157,6 +190,8 @@ class _Session:
         self.plans: dict = {}
         self.cards: dict = {}
         self.code: dict = {}
+        self.scalars: dict = {}
+        self.tags = count()
         self.live = 0
         n = self.n
         self.adj = {a: 0 for a in lts.actions}
@@ -186,41 +221,59 @@ class _Session:
             self.cards[t] = c
         return c
 
-    def sweep_card(self, t: Type) -> int:
-        """Size of a domain a quantifier enumerates, checked against the budget."""
-        card = self.card(t)
-        if card > self.budget:
-            raise BudgetError(
-                "existential over a domain of size %d exceeds budget %d" % (card, self.budget)
-            )
-        return card
-
     # -- compilation ------------------------------------------------------
 
-    def compile_root(self, f: Formula) -> Callable:
+    def scalar(self, scope: frozenset) -> _Space:
+        """The scalar space under the fixpoint variables of scope."""
+        space = self.scalars.get(scope)
+        if space is None:
+            space = self.scalars[scope] = _Space(scope)
+        return space
+
+    def binder_space(self, f: Pfp, scope: frozenset) -> _Space:
+        """The space of f's argument tuples, under scope and f's variable."""
+        cards = tuple(map(self.card, applied_arg_types(f.vtype)))
+        size = prod(cards)
+        if size > self.budget:
+            raise BudgetError(
+                "fixpoint over a tuple space of size %d exceeds budget %d" % (size, self.budget)
+            )
+        return _Space(scope | {f.var}, f.var, f.args, cards)
+
+    def compile_root(self, f: Formula, space: Optional[_Space] = None) -> Callable:
+        """Compile f in space, by default the outermost scalar space."""
         try:
-            return self.compile(f)
+            return self.compile(f, space or self.scalar(_NO_NAMES), _NO_NAMES)
         finally:
             self.code.clear()
+            self.scalars.clear()
 
-    def compile(self, f: Formula, pfp_scope: frozenset = frozenset()) -> Callable:
-        # shared subterms compile once
-        ckey = (f, pfp_scope)
+    def compile(self, g: Formula, space: _Space, bound: frozenset) -> Callable:
+        """Closure from an environment to the bitset of space's tuples at
+        which g holds.  bound is the set of names bound between space's
+        binder and g: an argument bound again there is an ordinary
+        variable.  The closures reach no compile table and form no cycle.
+        """
+        bound = bound & g.free if space.args else _NO_NAMES
+        # shared subterms compile once per space
+        ckey = (g, space, bound)
         got = self.code.get(ckey)
         if got is not None:
             return got
-        clo = self._compile(f, pfp_scope)
-        fv = f.free
+        clo = self._compile(g, space, bound)
+        fv = g.free
         if (
-            isinstance(f, (Not, Or, Exists))
+            not space.args
+            and isinstance(g, (Not, Or, Exists))
             and len(fv) <= _MEMO_MAX_VARS
-            and not (fv & pfp_scope)
+            and not (fv & space.scope)
         ):
             names = tuple(sorted(fv))
             memo = self.memo
             inner = clo
-            def memoized(env: dict) -> bool:
-                key = (f,) + tuple(env[v] for v in names)
+            def memoized(env: dict) -> int:
+                # a list builds faster than a generator, on the hottest line
+                key = (g,) + tuple([env[v] for v in names])
                 hit = memo.get(key)
                 if hit is None:
                     hit = inner(env)
@@ -231,53 +284,90 @@ class _Session:
         self.code[ckey] = clo
         return clo
 
-    def _compile(self, f: Formula, pfp_scope: frozenset) -> Callable:
+    def _compile(self, g: Formula, space: _Space, bound: frozenset) -> Callable:
         stats = self.stats
-        if isinstance(f, Tru):
-            def true_cl(env: dict) -> bool:
+        full = space.full
+        argv: list = []
+        if space.args:
+            argv = [v for v in space.args if v in g.free and v not in bound]
+            if not argv:
+                # g reads none of the arguments: all tuples or none
+                clo = self.compile(g, self.scalar(space.scope), _NO_NAMES)
+                def const_cl(env: dict) -> int:
+                    return full if clo(env) else 0
+                return const_cl
+            var = space.var
+            if (
+                isinstance(g, Apply)
+                and g.head == var
+                and var not in bound
+                and g.args == space.args
+                and len(argv) == len(space.args)
+            ):
+                def stage_cl(env: dict) -> int:
+                    stats.subformula_evals += 1
+                    return env[var]
+                return stage_cl
+            if len(argv) == 1 or not isinstance(g, (Not, Or, Exists)):
+                return self._leaf(g, space, argv, bound)
+        elif isinstance(g, Not) and isinstance(g.sub, Not):
+            return self.compile(g.sub.sub, space, bound)
+        if isinstance(g, Not):
+            sub = self.compile(g.sub, space, bound)
+            def not_cl(env: dict) -> int:
                 stats.subformula_evals += 1
-                return True
-            return true_cl
-        if isinstance(f, Prop):
-            bits = self.prop_bits.get(f.prop, 0)
-            var = f.var
-            def prop_cl(env: dict) -> bool:
-                stats.subformula_evals += 1
-                return (bits >> env[var]) & 1 == 1
-            return prop_cl
-        if isinstance(f, Act):
-            bits = self.adj.get(f.action, 0)
-            n = self.n
-            src, dst = f.src, f.dst
-            def act_cl(env: dict) -> bool:
-                stats.subformula_evals += 1
-                return (bits >> (env[src] * n + env[dst])) & 1 == 1
-            return act_cl
-        if isinstance(f, Apply):
-            return self._compile_apply(f)
-        if isinstance(f, Not):
-            if isinstance(f.sub, Not):
-                return self.compile(f.sub.sub, pfp_scope)
-            sub = self.compile(f.sub, pfp_scope)
-            def not_cl(env: dict) -> bool:
-                stats.subformula_evals += 1
-                return not sub(env)
+                return full ^ sub(env)
             return not_cl
-        if isinstance(f, Or):
-            left = self.compile(f.left, pfp_scope)
-            right = self.compile(f.right, pfp_scope)
-            def or_cl(env: dict) -> bool:
+        if isinstance(g, Or):
+            left = self.compile(g.left, space, bound)
+            right = self.compile(g.right, space, bound)
+            def or_cl(env: dict) -> int:
                 stats.subformula_evals += 1
-                return left(env) or right(env)
+                m = left(env)
+                return m if m == full else m | right(env)
             return or_cl
-        if isinstance(f, Exists):
-            plan = self._member_plan(f, pfp_scope)
-            if plan is not None:
-                return plan
-            return self._compile_exists(f, pfp_scope)
-        if isinstance(f, Pfp):
-            return self._compile_pfp(f, pfp_scope)
-        raise TypeError("not a formula: %r" % (f,))
+        if isinstance(g, Exists):
+            chain = self.guarded_chain(g)
+            if chain is not None and chain[0].head not in argv:
+                return self._chain(g, chain, space, bound)
+            return self._exists(g, space, bound)
+        return self._atom(g, space)
+
+    def _atom(self, g: Formula, space: _Space) -> Callable:
+        """Atoms and fixpoints, which are compiled in the scalar space only."""
+        stats = self.stats
+        if isinstance(g, Tru):
+            def true_cl(env: dict) -> int:
+                stats.subformula_evals += 1
+                return 1
+            return true_cl
+        if isinstance(g, Prop):
+            bits = self.prop_bits.get(g.prop, 0)
+            var = g.var
+            def prop_cl(env: dict) -> int:
+                stats.subformula_evals += 1
+                return (bits >> env[var]) & 1
+            return prop_cl
+        if isinstance(g, Act):
+            bits = self.adj.get(g.action, 0)
+            n = self.n
+            src, dst = g.src, g.dst
+            def act_cl(env: dict) -> int:
+                stats.subformula_evals += 1
+                return (bits >> (env[src] * n + env[dst])) & 1
+            return act_cl
+        if isinstance(g, Apply):
+            if g.elem is None:
+                raise ConformanceError("formula was not type checked before evaluation")
+            head = g.head
+            combine = self._combiner(g.elem, g.args)
+            def apply_cl(env: dict) -> int:
+                stats.subformula_evals += 1
+                return (env[head] >> combine(env)) & 1
+            return apply_cl
+        if isinstance(g, Pfp):
+            return self._compile_pfp(g, space)
+        raise TypeError("not a formula: %r" % (g,))
 
     def _combiner(self, elem: Type, args: tuple) -> Callable:
         """Member index of an argument tuple under the element type."""
@@ -292,33 +382,31 @@ class _Session:
         single = args[0]
         return lambda env: env[single]
 
-    def _compile_apply(self, f: Apply) -> Callable:
-        if f.elem is None:
-            raise ConformanceError("formula was not type checked before evaluation")
+    def _exists(self, g: Exists, space: _Space, bound: frozenset) -> Callable:
         stats = self.stats
-        head = f.head
-        combine = self._combiner(f.elem, f.args)
-        def apply_cl(env: dict) -> bool:
-            stats.subformula_evals += 1
-            return (env[head] >> combine(env)) & 1 == 1
-        return apply_cl
-
-    def _compile_exists(self, f: Exists, pfp_scope: frozenset) -> Callable:
-        stats = self.stats
-        var = f.var
-        card = self.sweep_card(f.vtype)
-        body = self.compile(f.body, pfp_scope)
+        full = space.full
+        var = g.var
+        card = self.card(g.vtype)
+        if card > self.budget:
+            raise BudgetError(
+                "existential over a domain of size %d exceeds budget %d" % (card, self.budget)
+            )
+        body = self.compile(g.body, space, bound | {var})
         sess = self
-        def exists_cl(env: dict) -> bool:
+        def exists_cl(env: dict) -> int:
             stats.subformula_evals += 1
             old = env.get(var, _MISSING)
             sess.grow(2)
+            acc = 0
             try:
                 for i in range(card):
                     env[var] = i
-                    if body(env):
-                        return True
-                return False
+                    m = body(env)
+                    if m:
+                        acc |= m
+                        if acc == full:
+                            break
+                return acc
             finally:
                 if old is _MISSING:
                     env.pop(var, None)
@@ -326,6 +414,48 @@ class _Session:
                     env[var] = old
                 sess.shrink(2)
         return exists_cl
+
+    def _leaf(self, g: Formula, space: _Space, argv: list, bound: frozenset) -> Callable:
+        """g evaluated in the scalar space at one binding per value of the
+        arguments it reads.
+
+        The values of the last of those arguments give one row of blocks,
+        spread over the space by one multiplication; every combination of
+        the others, if any, cuts its rows down to the tuples carrying it.
+        The result is cached by the values of g's variables bound inside
+        the body: for one stage if g reads the stage, else for the run.
+        """
+        stats = self.stats
+        clo = self.compile(g, self.scalar(space.scope), _NO_NAMES)
+        cache = space.step if space.var in g.free and space.var not in bound else space.run
+        tag = next(self.tags)
+        keyvars = tuple(sorted(g.free & bound))
+        last = argv[-1]
+        card, stride, unit, rep = space.axes[last]
+        outer = argv[:-1]
+        cuts = [space.axes[v] for v in outer]
+        def leaf_cl(env: dict) -> int:
+            stats.subformula_evals += 1
+            key = (tag,) + tuple(env[v] for v in keyvars)
+            hit = cache.get(key)
+            if hit is None:
+                hit = 0
+                for combo in product(*[range(axis[0]) for axis in cuts]):
+                    for v, i in zip(outer, combo):
+                        env[v] = i
+                    row = 0
+                    for i in range(card):
+                        env[last] = i
+                        if clo(env):
+                            row |= unit << i * stride
+                    if row:
+                        m = row * rep
+                        for (_, s, u, r), i in zip(cuts, combo):
+                            m &= (u << i * s) * r
+                        hit |= m
+                cache[key] = hit
+            return hit
+        return leaf_cl
 
     # -- guarded existential chains --------------------------------------
 
@@ -354,291 +484,56 @@ class _Session:
                 return c, radices, conjuncts[:i] + conjuncts[i + 1:]
         return None
 
-    def passing_members(self, f: Exists, x: int, names: tuple, radices: tuple, local: list) -> tuple:
-        """Argument tuples of the members of set x that pass the local conjuncts.
+    def _chain(self, g: Exists, chain: tuple, space: _Space, bound: frozenset) -> Callable:
+        """A guarded chain (see guarded_chain): the union over the guard
+        set's passing members of the intersection of the other conjuncts.
+        Extensionally identical to plain enumeration.
 
-        Conjuncts over the chain variables alone are evaluated once per
-        set value and the surviving tuples are kept in plans; the chain's
-        other conjuncts run per call.
+        Conjuncts over the chain variables alone are evaluated once per set
+        value and the argument tuples of the members that pass them are
+        kept in plans; the chain's other conjuncts run per call.
         """
-        arity = len(names)
-        kept = []
-        tmp: dict = {}
-        for m in _iter_members(x):
-            rem = m
-            comps = [0] * arity
-            for j in range(arity - 1, 0, -1):
-                rem, comps[j] = divmod(rem, radices[j])
-            comps[0] = rem
-            for v, i in zip(names, comps):
-                tmp[v] = i
-            for clo in local:
-                if not clo(tmp):
-                    break
-            else:
-                kept.append(tuple(comps))
-        passing = tuple(kept)
-        self.plans[(f, x)] = passing
-        self.grow(len(passing))
-        return passing
-
-    def _member_plan(self, f: Exists, pfp_scope: frozenset) -> Optional[Callable]:
-        """Plan for an exists-chain guarded by a membership atom (see
-        guarded_chain).  Extensionally identical to plain enumeration."""
-        chain = self.guarded_chain(f)
-        if chain is None:
-            return None
-        guard, radices, rest = chain
-        names = guard.args
         stats = self.stats
+        full = space.full
+        guard, radices, rest = chain
         head = guard.head
         if not rest:
             # plain nonemptiness probe, cheap regardless of set size
-            def any_member_cl(env: dict) -> bool:
+            def any_member_cl(env: dict) -> int:
                 stats.subformula_evals += 1
-                return env[head] != 0
+                return full if env[head] else 0
             return any_member_cl
+        names = guard.args
         name_set = frozenset(names)
-        local = [self.compile(c, pfp_scope) for c in rest if c.free <= name_set]
-        outer = [self.compile(c, pfp_scope) for c in rest if not (c.free <= name_set)]
+        scalar = self.scalar(space.scope)
+        local = [self.compile(c, scalar, _NO_NAMES) for c in rest if c.free <= name_set]
+        outer = [self.compile(c, space, bound | name_set) for c in rest if not (c.free <= name_set)]
         arity = len(names)
         plans = self.plans
         sess = self
-        def member_cl(env: dict) -> bool:
-            stats.subformula_evals += 1
-            x = env[head]
-            passing = plans.get((f, x))
-            if passing is None:
-                passing = sess.passing_members(f, x, names, radices, local)
-            if not outer:
-                return bool(passing)
-            saved = {v: env.get(v, _MISSING) for v in names}
-            sess.grow(arity + 1)
-            try:
-                for comps in passing:
-                    for v, i in zip(names, comps):
-                        env[v] = i
-                    for clo in outer:
-                        if not clo(env):
-                            break
-                    else:
-                        return True
-                return False
-            finally:
-                _restore(env, saved)
-                sess.shrink(arity + 1)
-        return member_cl
-
-    # -- partial fixpoints ------------------------------------------------
-
-    def _compile_pfp(self, f: Pfp, pfp_scope: frozenset) -> Callable:
-        stats = self.stats
-        stage = _StageCompiler(self, f, pfp_scope).compile()
-        residual = tuple(sorted(f.free - set(f.args)))
-        combine = self._combiner(f.vtype.elem, f.args)
-        sess = self
-        def pfp_cl(env: dict) -> bool:
-            stats.subformula_evals += 1
-            key = (f,) + tuple(env[v] for v in residual)
-            trace = sess.limits.get(key)
-            if trace is None:
-                trace = sess.run_pfp(f, stage, env)
-                sess.limits[key] = trace
-                sess.grow(len(trace.limit()))
-            return combine(env) in trace.limit()
-        return pfp_cl
-
-    def run_pfp(self, f: Pfp, stage: "_Stage", env: dict) -> PfpTrace:
-        stats = self.stats
-        var = f.var
-        saved = {v: env.get(v, _MISSING) for v in f.args + (var,)}
-        self.grow(len(f.args) + 2)
-        stored = 0
-        try:
-            prev = 0
-            seen = {prev: 0}
-            stages = [prev]
-            while True:
-                stats.pfp_iterations += 1
-                env[var] = prev
-                nxt = stage.image(env)
-                size = nxt.bit_count()
-                self.grow(size)
-                stored += size
-                stages.append(nxt)
-                if nxt == prev:
-                    return _trace(f, stages, "stabilized", seen[prev], self.n)
-                if nxt in seen:
-                    return _trace(f, stages, "no-fixpoint", None, self.n)
-                seen[nxt] = len(stages) - 1
-                prev = nxt
-        finally:
-            stage.end_run()
-            _restore(env, saved)
-            self.shrink(len(f.args) + 2 + stored)
-
-
-def _trace(f: Pfp, stages: list, outcome: str, at: Optional[int], n: int) -> PfpTrace:
-    return PfpTrace(tuple(frozenset(_iter_members(s)) for s in stages), outcome, at, f.vtype.elem, n)
-
-
-class _Stage:
-    """The body of one fixpoint binder compiled to act on whole stages.
-
-    image(env) is the bitset of the argument tuples at which the body
-    holds, with the binder's variable bound in env to the current stage
-    bitset.  Masks of subformulas evaluated per argument value are cached
-    for one run: those that read the stage for one stage, the others
-    until end_run.
-    """
-
-    def __init__(self, mask: Callable, run: dict, step: dict) -> None:
-        self.mask = mask
-        self.run = run
-        self.step = step
-
-    def image(self, env: dict) -> int:
-        self.step.clear()
-        return self.mask(env)
-
-    def end_run(self) -> None:
-        self.run.clear()
-        self.step.clear()
-
-
-class _StageCompiler:
-    """Compiles one fixpoint body into a _Stage.
-
-    With (card, stride, unit, rep) = axes[v] for an argument v, tuple m
-    of the argument space gives v the value (m // stride) % card, so the
-    tuples that give it the value i form the bitset
-    (unit << i * stride) * rep: a block of stride ones, unit, repeated
-    once per value of the arguments before v.
-
-    A subformula is compiled against the set of names bound between the
-    binder and it; an argument bound again there is an ordinary variable.
-    The closures it makes reach neither the compiler nor each other in a
-    cycle.
-    """
-
-    def __init__(self, sess: _Session, f: Pfp, pfp_scope: frozenset) -> None:
-        assert isinstance(f.vtype, SetOf)
-        self.sess = sess
-        self.f = f
-        # scope of the scalar closures compiled for the body
-        self.scope = pfp_scope | {f.var}
-        cards = tuple(map(sess.card, applied_arg_types(f.vtype)))
-        space = prod(cards)
-        if space > sess.budget:
-            raise BudgetError(
-                "fixpoint over a tuple space of size %d exceeds budget %d" % (space, sess.budget)
-            )
-        self.full = full = (1 << space) - 1
-        strides = [prod(cards[j + 1:]) for j in range(len(cards))]
-        self.axes = {
-            v: (c, s, (1 << s) - 1, full // ((1 << c * s) - 1))
-            for v, c, s in zip(f.args, cards, strides)
-        }
-        self.run: dict = {}
-        self.step: dict = {}
-        self.table: dict = {}
-
-    def compile(self) -> _Stage:
-        return _Stage(self.mask(self.f.body, frozenset()), self.run, self.step)
-
-    def mask(self, g: Formula, bound: frozenset) -> Callable:
-        key = (g, bound & g.free)
-        got = self.table.get(key)
-        if got is None:
-            got = self.table[key] = self._mask(g, key[1])
-        return got
-
-    def _mask(self, g: Formula, bound: frozenset) -> Callable:
-        sess, f, full = self.sess, self.f, self.full
-        stats = sess.stats
-        argv = [v for v in f.args if v in g.free and v not in bound]
-        if not argv:
-            clo = sess.compile(g, self.scope)
-            def const_mask(env: dict) -> int:
-                return full if clo(env) else 0
-            return const_mask
-        if (
-            isinstance(g, Apply)
-            and g.head == f.var
-            and f.var not in bound
-            and g.args == f.args
-            and len(argv) == len(f.args)
-        ):
-            var = f.var
-            def stage_mask(env: dict) -> int:
-                stats.subformula_evals += 1
-                return env[var]
-            return stage_mask
-        if len(argv) == 1:
-            return self._leaf(g, argv, bound)
-        if isinstance(g, Not):
-            sub = self.mask(g.sub, bound)
-            def not_mask(env: dict) -> int:
-                stats.subformula_evals += 1
-                return full ^ sub(env)
-            return not_mask
-        if isinstance(g, Or):
-            left = self.mask(g.left, bound)
-            right = self.mask(g.right, bound)
-            def or_mask(env: dict) -> int:
-                stats.subformula_evals += 1
-                m = left(env)
-                return m if m == full else m | right(env)
-            return or_mask
-        if isinstance(g, Exists):
-            chain = sess.guarded_chain(g)
-            if chain is not None and chain[0].head not in argv:
-                return self._chain(g, chain, bound)
-            return self._exists(g, bound)
-        return self._leaf(g, argv, bound)
-
-    def _exists(self, g: Exists, bound: frozenset) -> Callable:
-        sess, full = self.sess, self.full
-        stats = sess.stats
-        var = g.var
-        card = sess.sweep_card(g.vtype)
-        body = self.mask(g.body, bound | {var})
-        def exists_mask(env: dict) -> int:
-            stats.subformula_evals += 1
-            saved = {var: env.get(var, _MISSING)}
-            sess.grow(2)
-            acc = 0
-            try:
-                for i in range(card):
-                    env[var] = i
-                    acc |= body(env)
-                    if acc == full:
-                        break
-                return acc
-            finally:
-                _restore(env, saved)
-                sess.shrink(2)
-        return exists_mask
-
-    def _chain(self, g: Exists, chain: tuple, bound: frozenset) -> Callable:
-        """A guarded chain: the union over the guard set's passing members of
-        the intersection of the other conjuncts' masks."""
-        sess, full = self.sess, self.full
-        stats = sess.stats
-        guard, radices, rest = chain
-        names = guard.args
-        name_set = frozenset(names)
-        local = [sess.compile(c, self.scope) for c in rest if c.free <= name_set]
-        outer = [self.mask(c, bound | name_set) for c in rest if not (c.free <= name_set)]
-        head = guard.head
-        arity = len(names)
-        plans = sess.plans
-        def member_mask(env: dict) -> int:
+        def member_cl(env: dict) -> int:
             stats.subformula_evals += 1
             x = env[head]
             passing = plans.get((g, x))
             if passing is None:
-                passing = sess.passing_members(g, x, names, radices, local)
+                kept = []
+                tmp: dict = {}
+                for rem in _iter_members(x):
+                    comps = [0] * arity
+                    for j in range(arity - 1, 0, -1):
+                        rem, comps[j] = divmod(rem, radices[j])
+                    comps[0] = rem
+                    for v, i in zip(names, comps):
+                        tmp[v] = i
+                    for clo in local:
+                        if not clo(tmp):
+                            break
+                    else:
+                        kept.append(tuple(comps))
+                passing = plans[(g, x)] = tuple(kept)
+                sess.grow(len(passing))
+            if not outer:
+                return full if passing else 0
             saved = {v: env.get(v, _MISSING) for v in names}
             sess.grow(arity + 1)
             acc = 0
@@ -651,56 +546,71 @@ class _StageCompiler:
                         m &= conjunct(env)
                         if not m:
                             break
-                    acc |= m
-                    if acc == full:
-                        break
+                    else:
+                        acc |= m
+                        if acc == full:
+                            break
                 return acc
             finally:
                 _restore(env, saved)
                 sess.shrink(arity + 1)
-        return member_mask
+        return member_cl
 
-    def _leaf(self, g: Formula, argv: list, bound: frozenset) -> Callable:
-        """g evaluated at one binding per value of the arguments it reads.
+    # -- partial fixpoints ------------------------------------------------
 
-        The values of the last of those arguments give one row of blocks,
-        spread over the space by one multiplication; every combination of
-        the others, if any, cuts its rows down to the tuples carrying it.
-        The result is cached by the values of g's variables bound inside
-        the body.
-        """
-        stats = self.sess.stats
-        clo = self.sess.compile(g, self.scope)
-        var = self.f.var
-        cache = self.step if var in g.free and var not in bound else self.run
-        tag = len(self.table)
-        keyvars = tuple(sorted(g.free & bound))
-        last = argv[-1]
-        card, stride, unit, rep = self.axes[last]
-        outer = argv[:-1]
-        cuts = [self.axes[v] for v in outer]
-        def leaf_mask(env: dict) -> int:
+    def _compile_pfp(self, f: Pfp, space: _Space) -> Callable:
+        stats = self.stats
+        inner = self.binder_space(f, space.scope)
+        body = self.compile(f.body, inner, _NO_NAMES)
+        residual = tuple(sorted(f.free - set(f.args)))
+        combine = self._combiner(f.vtype.elem, f.args)
+        sess = self
+        def pfp_cl(env: dict) -> int:
             stats.subformula_evals += 1
-            key = (tag,) + tuple(env[v] for v in keyvars)
-            hit = cache.get(key)
-            if hit is None:
-                hit = 0
-                for combo in product(*[range(axis[0]) for axis in cuts]):
-                    for v, i in zip(outer, combo):
-                        env[v] = i
-                    row = 0
-                    for i in range(card):
-                        env[last] = i
-                        if clo(env):
-                            row |= unit << i * stride
-                    if row:
-                        m = row * rep
-                        for (_, s, u, r), i in zip(cuts, combo):
-                            m &= (u << i * s) * r
-                        hit |= m
-                cache[key] = hit
-            return hit
-        return leaf_mask
+            key = (f,) + tuple(env[v] for v in residual)
+            trace = sess.limits.get(key)
+            if trace is None:
+                trace = sess.run_pfp(f, inner, body, env)
+                sess.limits[key] = trace
+                sess.grow(len(trace.limit()))
+            return combine(env) in trace.limit()
+        return pfp_cl
+
+    def run_pfp(self, f: Pfp, space: _Space, body: Callable, env: dict) -> PfpTrace:
+        """Iterate f's body, compiled in space, from the empty set to a repeat."""
+        stats = self.stats
+        var = f.var
+        saved = {v: env.get(v, _MISSING) for v in f.args + (var,)}
+        self.grow(len(f.args) + 2)
+        stored = 0
+        try:
+            prev = 0
+            seen = {prev: 0}
+            stages = [prev]
+            while True:
+                stats.pfp_iterations += 1
+                env[var] = prev
+                space.step.clear()
+                nxt = body(env)
+                size = nxt.bit_count()
+                self.grow(size)
+                stored += size
+                stages.append(nxt)
+                if nxt == prev:
+                    return _trace(f, stages, "stabilized", seen[prev], self.n)
+                if nxt in seen:
+                    return _trace(f, stages, "no-fixpoint", None, self.n)
+                seen[nxt] = len(stages) - 1
+                prev = nxt
+        finally:
+            space.run.clear()
+            space.step.clear()
+            _restore(env, saved)
+            self.shrink(len(f.args) + 2 + stored)
+
+
+def _trace(f: Pfp, stages: list, outcome: str, at: Optional[int], n: int) -> PfpTrace:
+    return PfpTrace(tuple(frozenset(_iter_members(s)) for s in stages), outcome, at, f.vtype.elem, n)
 
 
 def _flatten_and(f: Formula) -> list:
@@ -767,7 +677,7 @@ class CompiledFormula:
         ienv = _index_env(session.n, self._declared, self._free, env)
         session.grow(len(ienv))
         try:
-            return self._root(ienv)
+            return bool(self._root(ienv))
         finally:
             session.shrink(len(ienv))
 
@@ -786,6 +696,22 @@ def _index_env(n: int, declared: dict, free: tuple, env: Optional[Environment]) 
     return ienv
 
 
+def _open_session(
+    lts: Lts,
+    f: Formula,
+    ctx: Optional[TypingContext],
+    budget: int,
+    stats: Optional[EvalStats] = None,
+    live_budget: Optional[int] = None,
+) -> tuple[Formula, _Session]:
+    """The type checked formula and a fresh session to compile it in;
+    both steps recurse once per nesting level of the formula."""
+    allow_deep_recursion()
+    checked = check_well_formed(f, ctx)
+    stats = stats if stats is not None else EvalStats()
+    return checked, _Session(lts, budget, stats, live_budget)
+
+
 def compile_formula(
     lts: Lts,
     f: Formula,
@@ -800,10 +726,7 @@ def compile_formula(
     fixpoint would iterate over, a domain larger than the budget, whether
     or not an evaluation would reach it.
     """
-    allow_deep_recursion()
-    checked = check_well_formed(f, ctx)
-    stats = stats if stats is not None else EvalStats()
-    session = _Session(lts, budget, stats, live_budget)
+    checked, session = _open_session(lts, f, ctx, budget, stats, live_budget)
     return CompiledFormula(session, checked, dict(ctx) if ctx else {})
 
 
@@ -880,20 +803,17 @@ def apply_stage(
     """One application of the binder's stage function to any member set.
 
     members are canonical indices into the element domain, as in the
-    stages of a PfpTrace; the image is computed a set at a time, as a
-    stage of an iteration is.  Declarations and bindings are as for
-    pfp_iterate.
+    stages of a PfpTrace; the body is compiled in the binder's space and
+    the image computed a set at a time, as a stage of an iteration is.
+    Declarations and bindings are as for pfp_iterate.  Raises
+    ConformanceError on a member index outside the element domain.
     """
     declared, bound = _binder_scope(lts, f, env, ctx)
-    checked = check_well_formed(f, declared)
-    session = _Session(lts, budget, EvalStats())
-    try:
-        stage = _StageCompiler(session, checked, frozenset()).compile()
-    finally:
-        session.code.clear()
+    checked, session = _open_session(lts, f, declared, budget)
+    size = session.card(checked.vtype.elem)
+    if any(not 0 <= m < size for m in members):
+        raise ConformanceError("member indices must lie in [0, %d): %r" % (size, members))
+    image = session.compile_root(checked.body, session.binder_space(checked, _NO_NAMES))
     ienv = _index_env(lts.n, declared, tuple(sorted(checked.free)), bound)
-    ienv[f.var] = sum(1 << m for m in set(members))
-    try:
-        return frozenset(_iter_members(stage.image(ienv)))
-    finally:
-        stage.end_run()
+    ienv[checked.var] = sum(1 << m for m in set(members))
+    return frozenset(_iter_members(image(ienv)))

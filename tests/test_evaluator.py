@@ -6,15 +6,22 @@ literal structural one in _reference, which share no code paths.
 """
 
 import gc
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _gen import random_formula, random_lts, scoped_instance
+from _machines import M_ACC2, M_FIRST1, M_SWEEP
 from _reference import ref_eval, ref_pfp_limit
+from hopfp.compiler import CodingContext, ReductionParams, build_machine_formula, crossval
 from hopfp.domains import (
     BudgetError,
     ConformanceError,
@@ -24,7 +31,7 @@ from hopfp.domains import (
     index_to_value,
     make_set,
 )
-from hopfp.evaluator import EvalStats, compile_formula, evaluate, pfp_iterate
+from hopfp.evaluator import EvalStats, apply_stage, compile_formula, evaluate, pfp_iterate
 from hopfp.frontend import format_formula
 from hopfp.logic import (
     GROUND as G,
@@ -44,8 +51,10 @@ from hopfp.logic import (
     forall,
 )
 from hopfp.lts import ordered_lts
+from hopfp.orders import TowerSpec, build_lt
 
 GG = Compound((G, G))
+P11 = ReductionParams(1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -135,15 +144,82 @@ class TestBasics:
         pf = Pfp("X", SetOf(G), Or(Prop("p", "x"),
                  Exists("y", G, and_(Apply("X", ("y",)), Act("a", "y", "x")))), ("x",))
         f = Exists("x", G, and_(pf, Exists("z", G, Act("a", "x", "z"))))
-        gc.disable()
-        try:
-            compiled = compile_formula(T, f)
-            assert compiled()
-            session = weakref.ref(compiled._session)
-            del compiled
-            assert session() is None
-        finally:
-            gc.enable()
+        # a machine formula also has masks over several arguments, masks
+        # constant over its fixpoint's tuples and scalar guarded chains
+        ctx = CodingContext(ordered_lts(3), M_FIRST1, P11)
+        machine = build_machine_formula(ctx, "10")
+        for lts, formula in ((T, f), (ctx.lts, machine)):
+            gc.disable()
+            try:
+                compiled = compile_formula(lts, formula)
+                assert compiled()
+                session = weakref.ref(compiled._session)
+                del compiled
+                assert session() is None
+            finally:
+                gc.enable()
+
+
+class TestApplyStage:
+    def test_members_outside_the_element_domain_are_rejected(self):
+        T = lab_lts()
+        x_in = Apply("X", ("x",))
+        for body, image in ((x_in, {0, 1}), (Or(x_in, Prop("p", "x")), {0, 1, 2})):
+            pf = Pfp("X", SetOf(G), body, ("x",))
+            for members in ({1, 7}, {3}, {-1}, {0, -1}):
+                with pytest.raises(ConformanceError):
+                    apply_stage(T, pf, frozenset(members))
+            assert apply_stage(T, pf, frozenset({0, 1})) == frozenset(image)
+
+    def test_deep_body_in_a_fresh_interpreter(self):
+        # apply_stage raises the recursion limit itself, as compile_formula
+        # does, so it need not follow another call that raised it
+        script = textwrap.dedent("""
+            from hopfp.evaluator import apply_stage
+            from hopfp.logic import GROUND, Apply, Or, Pfp, Prop, SetOf
+            from hopfp.lts import ordered_lts
+            body = Apply("X", ("x",))
+            for _ in range(1500):
+                body = Or(body, Prop("p", "x"))
+            host = ordered_lts(3, props=("p",), labels=((2, "p"),))
+            pf = Pfp("X", SetOf(GROUND), body, ("x",))
+            print(sorted(apply_stage(host, pf, frozenset({0}))))
+        """)
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout == "[0, 2]\n"
+
+
+class TestPinnedCounters:
+    """Exact counters of fixed cases, as (subformula_evals, pfp_iterations,
+    peak_live_values): a change to how formulas are compiled, cached or
+    iterated shows here even when every verdict stays the same."""
+
+    def _crossval(self, machine, params, word, n):
+        stats = EvalStats()
+        assert crossval(machine, params, word=word, n=n, check_stages=True, stats=stats).agree
+        return stats.subformula_evals, stats.pfp_iterations, stats.peak_live_values
+
+    def test_machine_cases(self):
+        assert self._crossval(M_SWEEP, P11, "1101", 3) == (7958, 5, 274)
+        assert self._crossval(M_FIRST1, P11, "10", 3) == (3477, 3, 210)
+        assert self._crossval(M_ACC2, ReductionParams(2, 1), "1" * 16, 2) == (37168, 2, 590)
+
+    def test_order_queries_through_one_compiled_formula(self):
+        spec = TowerSpec(1, 3)
+        t = spec.slot_types[0]
+        compiled = compile_formula(ordered_lts(2), build_lt(spec, ("a",), ("b",)), {"a": t, "b": t})
+        values = [index_to_value(Domain(t, 2), i) for i in range(16)]
+        answers = [compiled({"a": u, "b": v}) for u in values for v in values]
+        assert answers.count(True) == 120
+        stats = compiled.stats
+        assert (stats.subformula_evals, stats.pfp_iterations, stats.peak_live_values) == (2888, 0, 42)
+        assert len(compiled._session.memo) == 400
 
 
 class TestPfp:
