@@ -150,6 +150,7 @@ def cmd_crossval(args: argparse.Namespace) -> int:
         budget=args.budget,
         max_steps=args.max_steps,
         stats=stats,
+        live_budget=args.space_budget,
     )
     machine_says = "accept" if report.machine_accepted else "reject"
     if report.agree:
@@ -234,7 +235,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="host system size for synthetic words")
     p.add_argument("--stages", action="store_true",
                    help="also compare every fixpoint stage with the run")
-    p.add_argument("--budget", type=_positive, default=DEFAULT_ENUM_BUDGET)
+    p.add_argument("--budget", type=_positive, default=DEFAULT_ENUM_BUDGET,
+                   help="largest domain a quantifier may sweep")
+    p.add_argument("--space-budget", type=_positive, default=None,
+                   help="cap on simultaneously live values")
     p.add_argument("--max-steps", type=_positive, default=None)
     p.add_argument("--stats", action="store_true",
                    help="print the full report and counters as JSON records")

@@ -492,12 +492,14 @@ def crossval(
     budget: int = DEFAULT_ENUM_BUDGET,
     max_steps: Optional[int] = None,
     stats: Optional[EvalStats] = None,
+    live_budget: Optional[int] = None,
 ) -> CrossvalReport:
     """Run formula and simulator on one case and compare.
 
     The case is set up by resolve_case.  With check_stages every stage
     of the fixpoint, as traced by the evaluation of the formula itself,
     is compared against the corresponding simulator configuration.
+    budget and live_budget bound the evaluation as for evaluate.
     """
     mode, ctx, word = resolve_case(machine, params, lts, word, n)
     result = run(machine, word, max_steps)
@@ -506,7 +508,8 @@ def crossval(
             "the run uses %d cells but the coding provides %d" % (result.space, ctx.cells)
         )
     compiled = compile_formula(
-        ctx.lts, build_machine_formula(ctx, word), budget=budget, stats=stats
+        ctx.lts, build_machine_formula(ctx, word), budget=budget, stats=stats,
+        live_budget=live_budget,
     )
     formula_accepted = compiled()
     fields = dict(

@@ -6,7 +6,11 @@ their domain in canonical order, and the partial-fixpoint binder
 iterates its stage function from the empty set.  Stage iteration stops
 at the first repeat: a consecutive repeat means the sequence stabilized
 and the repeated stage is the fixpoint, any other repeat means the
-deterministic sequence cycles forever and the fixpoint is empty.
+deterministic sequence cycles forever and the fixpoint is empty.  The
+one exception to streaming is a guarded block: a block of existentials
+whose variables are, in order, the arguments of a conjunct applying a
+set variable or a fixpoint walks the members of that set, or of that
+fixpoint's limit, instead of its domain.
 
 Internally values are handled as canonical indices (see domains): a
 ground value is a small integer, a tuple is its mixed-radix index, and a
@@ -25,10 +29,12 @@ in the scalar space once per value of it and spread over the tuples that
 share it.  Small stable subformulas of the scalar space are memoized.
 
 Each fixpoint is iterated once per surrounding environment.  The session
-keeps the stage trace of that run, as sets of member indices, serves the
-limit to every outer quantifier binding from it, and hands the traces
-out afterwards (see CompiledFormula.traces).  All of this is invisible
-in the results: the semantics is exactly the structural one.
+keeps the stage trace of that run, as sets of member indices, beside the
+limit as a bitset.  It serves the limit from there to every outer
+quantifier binding, as a bit test, and to a block the fixpoint guards,
+as the members to walk, and hands the traces out afterwards (see
+CompiledFormula.traces).  All of this is invisible in the results: the
+semantics is exactly the structural one.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count, product
 from math import prod
+from operator import itemgetter
 from typing import Callable, Mapping, Optional
 
 from .domains import (
@@ -99,8 +106,12 @@ class EvalStats:
 
     peak_live_values counts environment bindings plus the members of all
     fixpoint stages retained by in-flight iterations (the stabilization
-    check keeps every stage seen so far) plus member tuples kept by
-    cached quantifier plans.
+    check keeps every stage seen so far) plus the members of every
+    fixpoint limit kept for reuse plus the member tuples that guarded
+    blocks keep in their plans, one per member of the guard set or limit
+    that passes the block's conjuncts over its own variables alone.  A
+    guarded block binds its variables only at those members, never
+    across its whole domain.
     """
 
     subformula_evals: int = 0
@@ -185,7 +196,8 @@ class _Session:
         self.live_budget = float("inf") if live_budget is None else live_budget
         self.stats = stats
         self.memo: dict = {}
-        # PfpTrace of each fixpoint run, keyed by binder and environment
+        # PfpTrace and limit bit mask of each fixpoint run, keyed by binder
+        # and environment
         self.limits: dict = {}
         self.plans: dict = {}
         self.cards: dict = {}
@@ -327,8 +339,8 @@ class _Session:
                 return m if m == full else m | right(env)
             return or_cl
         if isinstance(g, Exists):
-            chain = self.guarded_chain(g)
-            if chain is not None and chain[0].head not in argv:
+            chain = self.guarded_chain(g, space.scope, argv)
+            if chain is not None:
                 return self._chain(g, chain, space, bound)
             return self._exists(g, space, bound)
         return self._atom(g, space)
@@ -366,7 +378,12 @@ class _Session:
                 return (env[head] >> combine(env)) & 1
             return apply_cl
         if isinstance(g, Pfp):
-            return self._compile_pfp(g, space)
+            limit = self._limit(g, space.scope)
+            combine = self._combiner(g.vtype.elem, g.args)
+            def pfp_cl(env: dict) -> int:
+                stats.subformula_evals += 1
+                return (limit(env) >> combine(env)) & 1
+            return pfp_cl
         raise TypeError("not a formula: %r" % (g,))
 
     def _combiner(self, elem: Type, args: tuple) -> Callable:
@@ -459,14 +476,21 @@ class _Session:
 
     # -- guarded existential chains --------------------------------------
 
-    def guarded_chain(self, f: Exists) -> Optional[tuple]:
-        """(guard, its argument radices, other conjuncts) of a guarded chain.
+    def guarded_chain(self, f: Exists, scope: frozenset, argv: list) -> Optional[tuple]:
+        """(guard, block names, their radices, other conjuncts) of a
+        guarded chain, the guard as a closure from an environment to the
+        bit mask of its set.
 
-        When a block of existentials binds exactly the arguments of an
-        application of an outer set variable (the guard), the satisfying
-        bindings can only come from members of that set, so the chain can
-        walk the set instead of the full product.  None when f is no such
-        chain.
+        When a block of existentials binds exactly the arguments, in order,
+        of a conjunct that is an application of an outer set variable or a
+        fixpoint (the guard), the satisfying bindings can only come from
+        members of that set or of that fixpoint's limit, so the chain can
+        walk those members instead of the full product.  The guard must
+        not read an argument of the space the block is compiled in (argv),
+        since its value is taken once per call.  An application is
+        preferred, as reading it costs nothing; otherwise the first
+        fixpoint serves, wherever it stands among the conjuncts.  None when
+        f is no such chain.
         """
         names: list = []
         body: Formula = f
@@ -476,34 +500,44 @@ class _Session:
         if len(set(names)) != len(names):
             return None
         conjuncts = _flatten_and(body)
-        for i, c in enumerate(conjuncts):
-            if isinstance(c, Apply) and list(c.args) == names and c.head not in names:
+        guards = [c for c in conjuncts if isinstance(c, (Apply, Pfp)) and list(c.args) == names]
+        for c in guards:
+            if isinstance(c, Apply) and c.head not in names and c.head not in argv:
                 if c.elem is None:
                     raise ConformanceError("formula was not type checked before evaluation")
-                radices = tuple(map(self.card, applied_arg_types(SetOf(c.elem))))
-                return c, radices, conjuncts[:i] + conjuncts[i + 1:]
-        return None
+                value = itemgetter(c.head)
+                vtype = SetOf(c.elem)
+                break
+        else:
+            # a fixpoint's free variables beyond its arguments are outer ones
+            c = next((c for c in guards if isinstance(c, Pfp) and not c.free & set(argv)), None)
+            if c is None:
+                return None
+            value = self._limit(c, scope)
+            vtype = c.vtype
+        radices = tuple(map(self.card, applied_arg_types(vtype)))
+        i = conjuncts.index(c)
+        return value, tuple(names), radices, conjuncts[:i] + conjuncts[i + 1:]
 
     def _chain(self, g: Exists, chain: tuple, space: _Space, bound: frozenset) -> Callable:
-        """A guarded chain (see guarded_chain): the union over the guard
-        set's passing members of the intersection of the other conjuncts.
-        Extensionally identical to plain enumeration.
+        """A guarded chain (see guarded_chain): the union over the passing
+        members of the guard, a set variable's value or a fixpoint's limit,
+        of the intersection of the other conjuncts.  Extensionally
+        identical to plain enumeration.
 
-        Conjuncts over the chain variables alone are evaluated once per set
-        value and the argument tuples of the members that pass them are
-        kept in plans; the chain's other conjuncts run per call.
+        Conjuncts over the chain variables alone are evaluated once per
+        guard value and the argument tuples of the members that pass them
+        are kept in plans; the chain's other conjuncts run per call.
         """
         stats = self.stats
         full = space.full
-        guard, radices, rest = chain
-        head = guard.head
+        value, names, radices, rest = chain
         if not rest:
             # plain nonemptiness probe, cheap regardless of set size
             def any_member_cl(env: dict) -> int:
                 stats.subformula_evals += 1
-                return full if env[head] else 0
+                return full if value(env) else 0
             return any_member_cl
-        names = guard.args
         name_set = frozenset(names)
         scalar = self.scalar(space.scope)
         local = [self.compile(c, scalar, _NO_NAMES) for c in rest if c.free <= name_set]
@@ -513,7 +547,7 @@ class _Session:
         sess = self
         def member_cl(env: dict) -> int:
             stats.subformula_evals += 1
-            x = env[head]
+            x = value(env)
             passing = plans.get((g, x))
             if passing is None:
                 kept = []
@@ -558,26 +592,36 @@ class _Session:
 
     # -- partial fixpoints ------------------------------------------------
 
-    def _compile_pfp(self, f: Pfp, space: _Space) -> Callable:
-        stats = self.stats
-        inner = self.binder_space(f, space.scope)
+    def _limit(self, f: Pfp, scope: frozenset) -> Callable:
+        """Closure from an environment to the bit mask of f's limit there.
+
+        f is compiled once per scope, whether it serves as an atom or as
+        the guard of a block.  It runs once per binding of its free
+        variables beyond its arguments; limits keeps the run's trace and
+        limit.
+        """
+        ckey = (f, scope)
+        got = self.code.get(ckey)
+        if got is not None:
+            return got
+        inner = self.binder_space(f, scope)
         body = self.compile(f.body, inner, _NO_NAMES)
         residual = tuple(sorted(f.free - set(f.args)))
-        combine = self._combiner(f.vtype.elem, f.args)
+        limits = self.limits
         sess = self
-        def pfp_cl(env: dict) -> int:
-            stats.subformula_evals += 1
-            key = (f,) + tuple(env[v] for v in residual)
-            trace = sess.limits.get(key)
-            if trace is None:
-                trace = sess.run_pfp(f, inner, body, env)
-                sess.limits[key] = trace
-                sess.grow(len(trace.limit()))
-            return combine(env) in trace.limit()
-        return pfp_cl
+        def limit_cl(env: dict) -> int:
+            key = (f,) + tuple([env[v] for v in residual])
+            run = limits.get(key)
+            if run is None:
+                run = limits[key] = sess.run_pfp(f, inner, body, env)
+                sess.grow(run[1].bit_count())
+            return run[1]
+        self.code[ckey] = limit_cl
+        return limit_cl
 
-    def run_pfp(self, f: Pfp, space: _Space, body: Callable, env: dict) -> PfpTrace:
-        """Iterate f's body, compiled in space, from the empty set to a repeat."""
+    def run_pfp(self, f: Pfp, space: _Space, body: Callable, env: dict) -> tuple:
+        """Iterate f's body, compiled in space, from the empty set to a
+        repeat; the trace of the run and the bit mask of its limit."""
         stats = self.stats
         var = f.var
         saved = {v: env.get(v, _MISSING) for v in f.args + (var,)}
@@ -597,9 +641,9 @@ class _Session:
                 stored += size
                 stages.append(nxt)
                 if nxt == prev:
-                    return _trace(f, stages, "stabilized", seen[prev], self.n)
+                    return _trace(f, stages, "stabilized", seen[prev], self.n), nxt
                 if nxt in seen:
-                    return _trace(f, stages, "no-fixpoint", None, self.n)
+                    return _trace(f, stages, "no-fixpoint", None, self.n), 0
                 seen[nxt] = len(stages) - 1
                 prev = nxt
         finally:
@@ -670,7 +714,7 @@ class CompiledFormula:
         A fixpoint runs once per binding of its body's other free
         variables; a run that needs an inner fixpoint ends after it.
         """
-        return tuple(self._session.limits.values())
+        return tuple(trace for trace, _ in self._session.limits.values())
 
     def __call__(self, env: Optional[Environment] = None) -> bool:
         session = self._session

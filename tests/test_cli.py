@@ -216,6 +216,16 @@ def test_crossval_stats_records(tm_file, capsys):
     assert counters["pfp_iterations"] > 0
 
 
+def test_crossval_space_budget(tm_file, capsys):
+    args = ["crossval", "--tm", tm_file, "--k", "1", "--c", "1", "--word", "10"]
+    assert run_cli(args + ["--space-budget", "10000"]) == 0
+    assert run_cli(args + ["--space-budget", "50"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "agree: accept\n"
+    assert "budget: " in captured.err
+    assert "exceed the space budget of 50" in captured.err
+
+
 def test_crossval_encoded_mode_too_small(tm_file, files, capsys):
     # an encoding of a 3 state system cannot fit its own 8 cell tape
     f = files("t3.lts", format_lts(ordered_lts(3)))

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _gen import random_formula, random_lts, scoped_instance
-from _machines import M_ACC2, M_FIRST1, M_SWEEP
+from _machines import M_ACC2, M_FIRST1, M_PARITY, M_SWEEP
 from _reference import ref_eval, ref_pfp_limit
 from hopfp.compiler import CodingContext, ReductionParams, build_machine_formula, crossval
 from hopfp.domains import (
@@ -206,9 +206,10 @@ class TestPinnedCounters:
         return stats.subformula_evals, stats.pfp_iterations, stats.peak_live_values
 
     def test_machine_cases(self):
-        assert self._crossval(M_SWEEP, P11, "1101", 3) == (7958, 5, 274)
-        assert self._crossval(M_FIRST1, P11, "10", 3) == (3477, 3, 210)
-        assert self._crossval(M_ACC2, ReductionParams(2, 1), "1" * 16, 2) == (37168, 2, 590)
+        assert self._crossval(M_SWEEP, P11, "1101", 3) == (6171, 5, 266)
+        assert self._crossval(M_FIRST1, P11, "10", 3) == (3009, 3, 202)
+        assert self._crossval(M_ACC2, ReductionParams(2, 1), "1" * 16, 2) == (37162, 2, 582)
+        assert self._crossval(M_PARITY, P11, "1", 5) == (13800, 4, 1021)
 
     def test_order_queries_through_one_compiled_formula(self):
         spec = TowerSpec(1, 3)
@@ -455,3 +456,58 @@ def test_member_guarded_chain_matches_reference():
              forall("x", G, forall("y", G,
                  Or(Not(Apply("R", ("x", "y"))), Act("a", "x", "y"))))))
     assert evaluate(T, f) == ref_eval(T, f) is True
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_differential_fixpoint_guarded_blocks(seed):
+    # ∃x̄. P(x̄) ∧ φ with P a fixpoint: a block that binds P's arguments
+    # in order walks P's limit, wherever P stands among the conjuncts.  A
+    # block over the arguments permuted or with an extra variable is no
+    # such guard, nor, inside a binder over (z, w), is a P that reads z.
+    # P may read the outer z, may cycle so that its limit is empty, and
+    # the block may sit in the body of a fixpoint Y over (z, w).
+    rng = random.Random(seed)
+    T = random_lts(rng)
+    args = ("g1", "g2")[: rng.choice((1, 2))]
+    X = SetOf(G) if len(args) == 1 else SetOf(GG)
+    nested = rng.random() < 0.4
+    outer = {"z": G, "w": G}
+    sets = {"Y": SetOf(GG)} if nested else {}
+    fuel = {"pfp": 0, "setq": 0}
+    reads_outer = rng.random() < 0.5
+    p_scope = dict({v: G for v in args}, X=X, **sets, **(outer if reads_outer else {}))
+    body = random_formula(rng, p_scope, 2, fuel)
+    if reads_outer:
+        body = rng.choice([Or, and_])(body, Act(rng.choice("a<"), args[0], "z"))
+    if rng.random() < 0.25:
+        # the stages alternate between the empty set and a fixed one
+        rest = {v: t for v, t in p_scope.items() if v != "X"}
+        body = and_(Not(Apply("X", args)), random_formula(rng, rest, 1, fuel))
+    P = Pfp("X", X, body, args)
+
+    kind = rng.choice(("guard", "permuted", "extra"))
+    names = list(args)
+    if kind == "permuted":
+        names.reverse()
+    elif kind == "extra":
+        names.insert(rng.randrange(len(names) + 1), "g3")
+    phi_scope = dict({v: G for v in names}, **outer, **sets)
+    phi = and_(random_formula(rng, phi_scope, 2, fuel), Act(rng.choice("a<"), names[-1], "w"))
+    parts = [P, phi]
+    rng.shuffle(parts)
+    block = and_(*parts)
+    for v in reversed(names):
+        block = Exists(v, G, block)
+
+    if nested:
+        Yf = Pfp("Y", SetOf(GG), Or(block, Apply("Y", ("w", "z"))), ("z", "w"))
+        _assert_pfp_trace_matches_reference(T, Yf, outer, {})
+        return
+    compiled = compile_formula(T, block, outer)
+    for z in range(T.n):
+        for w in range(T.n):
+            env = {"z": State(z), "w": State(w)}
+            assert compiled(env) == ref_eval(T, block, env, outer), (z, w)
+    closed = Exists("z", G, forall("w", G, block))
+    assert evaluate(T, closed) == ref_eval(T, closed)
