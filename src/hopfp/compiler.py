@@ -52,7 +52,6 @@ from .machine import LEFT, RIGHT, Configuration, TmSpec, encode_lts, iter_run, r
 from .orders import (
     TowerSpec,
     build_eq,
-    build_index,
     build_lt,
     build_succ,
     build_total_order_axiom,
@@ -271,19 +270,38 @@ def decode_configuration(ctx: CodingContext, v: Value) -> Configuration:
 # -- formula builders -------------------------------------------------------
 
 
-def _code_eq(ctx: CodingContext, var: str, code: int) -> Formula:
+class _Indices:
+    """build_index for the builders of one formula.  All indices of one
+    slot come from a single iter_index pass, where each build_index call
+    would restart it at j = 0.  Made afresh for every build."""
+
+    def __init__(self) -> None:
+        self.passes: dict = {}
+
+    def __call__(self, spec: TowerSpec, j: int, slot: tuple) -> Formula:
+        got = self.passes.get((spec, slot))
+        if got is None:
+            got = self.passes[spec, slot] = ([], iter_index(spec, slot))
+        done, rest = got
+        while len(done) <= j:
+            done.append(next(rest))
+        return done[j]
+
+
+def _code_eq(ctx: CodingContext, index: _Indices, var: str, code: int) -> Formula:
     """The ground variable holds the individual at the given order position."""
-    return build_index(ctx.code_spec, code, (var,))
+    return index(ctx.code_spec, code, (var,))
 
 
-def build_init(ctx: CodingContext, word: str) -> Formula:
+def build_init(ctx: CodingContext, word: str, index: Optional[_Indices] = None) -> Formula:
     """Constraint satisfied by exactly the members encoding the start.
 
     Free variables: the candidate member.  The head sits on cell zero in
     the starting state, cells under the input carry its letters, and a
     witness for the input's last cell forces blanks past it.  The index
     formulas of all these cells hang off one interned spine of
-    successor steps (see iter_index).
+    successor steps (see iter_index).  index is the table of index
+    formulas when the constraint is part of a larger build.
     """
     m, cells = ctx.machine, ctx.cells
     if len(word) > cells:
@@ -295,13 +313,15 @@ def build_init(ctx: CodingContext, word: str) -> Formula:
             raise ValueError("input symbol %r not allowed" % ch)
     yq, hd, cell, ys = TUPLE_VARS
     pspec = ctx.pos_spec
+    index = index or _Indices()
     parts = [
-        build_index(pspec, 0, (hd,)),
-        _code_eq(ctx, yq, m.state_index(m.init)),
+        index(pspec, 0, (hd,)),
+        _code_eq(ctx, index, yq, m.state_index(m.init)),
     ]
-    for ch, at in zip(word, iter_index(pspec, (cell,))):
-        parts.append(implies(at, _code_eq(ctx, ys, m.symbol_index(ch))))
-    blank = _code_eq(ctx, ys, m.symbol_index(m.blank))
+    for j, ch in enumerate(word):
+        at = index(pspec, j, (cell,))
+        parts.append(implies(at, _code_eq(ctx, index, ys, m.symbol_index(ch))))
+    blank = _code_eq(ctx, index, ys, m.symbol_index(m.blank))
     if not word:
         parts.append(blank)
     else:
@@ -311,7 +331,7 @@ def build_init(ctx: CodingContext, word: str) -> Formula:
                 pspec,
                 last,
                 and_(
-                    build_index(pspec, len(word) - 1, last),
+                    index(pspec, len(word) - 1, last),
                     implies(build_lt(pspec, last, (cell,)), blank),
                 ),
             )
@@ -319,7 +339,7 @@ def build_init(ctx: CodingContext, word: str) -> Formula:
     return conj(parts)
 
 
-def build_trans(ctx: CodingContext) -> Formula:
+def build_trans(ctx: CodingContext, index: Optional[_Indices] = None) -> Formula:
     """One-step relation between configuration encodings.
 
     Free variables: the stage set and the candidate member.  A witness
@@ -329,9 +349,11 @@ def build_trans(ctx: CodingContext) -> Formula:
     head and the written symbol.  Cells away from the old head keep
     their content.  Bound names are fixed, so a test that recurs, such
     as the old head against the candidate's cell, is one interned node
-    and shares one memo table during evaluation.
+    and shares one memo table during evaluation.  index is as for
+    build_init.
     """
     m = ctx.machine
+    index = index or _Indices()
     yq, hd, cell, ys = TUPLE_VARS
     xq, xh, xc, xs = WITNESS_VARS
     pspec = ctx.pos_spec
@@ -341,8 +363,8 @@ def build_trans(ctx: CodingContext) -> Formula:
     step_left = Or(
         build_succ(pspec, (hd,), (xh,)),
         and_(
-            build_index(pspec, 0, (xh,)),
-            build_index(pspec, 0, (hd,)),
+            index(pspec, 0, (xh,)),
+            index(pspec, 0, (hd,)),
         ),
     )
     old_content = Exists(
@@ -357,15 +379,15 @@ def build_trans(ctx: CodingContext) -> Formula:
     order = lambda kv: (m.state_index(kv[0][0]), m.symbol_index(kv[0][1]))
     for (q, sym), (q2, sym2, move) in sorted(m.delta.items(), key=order):
         matches = and_(
-            _code_eq(ctx, xq, m.state_index(q)),
-            _code_eq(ctx, xs, m.symbol_index(sym)),
+            _code_eq(ctx, index, xq, m.state_index(q)),
+            _code_eq(ctx, index, xs, m.symbol_index(sym)),
         )
         moved = step_left if move == LEFT else step_right if move == RIGHT else stay
         forced = conj(
             [
-                _code_eq(ctx, yq, m.state_index(q2)),
+                _code_eq(ctx, index, yq, m.state_index(q2)),
                 moved,
-                implies(at_head, _code_eq(ctx, ys, m.symbol_index(sym2))),
+                implies(at_head, _code_eq(ctx, index, ys, m.symbol_index(sym2))),
             ]
         )
         blocks.append(implies(matches, forced))
@@ -380,34 +402,41 @@ def build_trans(ctx: CodingContext) -> Formula:
     return exists_all(list(zip(WITNESS_VARS, ctx.member_type.parts)), body)
 
 
-def build_stage_formula(ctx: CodingContext, word: str) -> Formula:
+def build_stage_formula(ctx: CodingContext, word: str, index: Optional[_Indices] = None) -> Formula:
     """The stage function: step the coded run, or start it from nothing.
 
     On an empty stage set only the start branch can hold, so the first
     stage is the initial configuration's encoding; afterwards the step
     branch reproduces the successor and halting configurations repeat
-    through their self loop rules, freezing the iteration.
+    through their self loop rules, freezing the iteration.  index is as
+    for build_init.
     """
+    index = index or _Indices()
     # built as a negated existential so evaluation probes one member
     probe = list(zip(WITNESS_VARS, ctx.member_type.parts))
     empty = Not(exists_all(probe, Apply(SET_VAR, WITNESS_VARS)))
-    return Or(build_trans(ctx), and_(empty, build_init(ctx, word)))
+    return Or(build_trans(ctx, index), and_(empty, build_init(ctx, word, index)))
 
 
-def build_stage_fixpoint(ctx: CodingContext, word: str) -> Pfp:
-    """The applied fixpoint binder over the stage function."""
-    return Pfp(SET_VAR, ctx.set_type, build_stage_formula(ctx, word), TUPLE_VARS)
+def build_stage_fixpoint(ctx: CodingContext, word: str, index: Optional[_Indices] = None) -> Pfp:
+    """The applied fixpoint binder over the stage function; index is as
+    for build_init."""
+    return Pfp(SET_VAR, ctx.set_type, build_stage_formula(ctx, word, index), TUPLE_VARS)
 
 
 def build_machine_formula(ctx: CodingContext, word: str) -> Formula:
-    """Closed formula true on the system iff the machine accepts the word."""
+    """Closed formula true on the system iff the machine accepts the word.
+
+    Its builders share one table of index formulas, so every indexed slot
+    is walked by one iter_index pass."""
     yq = TUPLE_VARS[0]
-    accept = _code_eq(ctx, yq, ctx.machine.state_index(ctx.machine.accept))
+    index = _Indices()
+    accept = _code_eq(ctx, index, yq, ctx.machine.state_index(ctx.machine.accept))
     return and_(
         build_total_order_axiom(),
         exists_all(
             list(zip(TUPLE_VARS, ctx.member_type.parts)),
-            and_(accept, build_stage_fixpoint(ctx, word)),
+            and_(accept, build_stage_fixpoint(ctx, word, index)),
         ),
     )
 
@@ -469,8 +498,11 @@ def resolve_case(
     Encoded mode (no word given) runs the machine on the text encoding
     of the given system.  Synthetic mode takes the word as given and,
     when no system is supplied, builds a plain ordered one of the
-    requested or minimal suitable size.
+    requested or minimal suitable size.  A requested size that differs
+    from the size of a supplied system raises ValueError.
     """
+    if lts is not None and n is not None and n != lts.n:
+        raise ValueError("requested system size %d, but the given system has %d states" % (n, lts.n))
     if word is None:
         if lts is None:
             raise ValueError("encoded mode needs a system to encode")

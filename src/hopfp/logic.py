@@ -15,7 +15,8 @@ Formula nodes are hash-consed: constructing a node whose class and fields
 match a live node returns that node, so two formulas are equal exactly
 when they are the same object, and a formula built twice, or read back
 from its printed text, is one shared DAG.  Every node carries its free
-variables in its free attribute, set when it is built.
+variables in its free attribute, set when it is built.  Types are
+hash-consed the same way, so comparing and hashing them is by identity.
 """
 
 from __future__ import annotations
@@ -41,17 +42,79 @@ def allow_deep_recursion() -> None:
 
 
 # ---------------------------------------------------------------------------
+# Interning
+
+# the live node of each class and fields, by weak references that drop
+# their entry when the node dies; types are interned here too
+_NODES: dict = {}
+
+
+class _Entry(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _drop(entry: _Entry) -> None:
+    if _NODES.get(entry.key) is entry:
+        del _NODES[entry.key]
+
+
+# the __new__ written out for each node class (see _Node)
+_NEW = """
+def __new__(cls%s):
+    key = (cls,%s)
+    entry = _NODES.get(key)
+    node = entry() if entry is not None else None
+    if node is not None:
+        return node
+    node = object.__new__(cls)%s
+    entry = _NODES[key] = _Entry(node, _drop)
+    entry.key = key
+    return node
+"""
+
+
+class _Node:
+    """Interned base of the types and the formula nodes: constructing a node
+    with the class and fields of a live one returns it, so == and hash are
+    identity, and pickling or copying a node gives the node itself.  Each
+    class's __new__ is written out from its fields, the free-variable
+    expression in its header (formula nodes only) and its __post_init__
+    check, if it has one, as dataclass writes __init__; a generic __new__
+    taking *fields made a new node cost twice as much."""
+
+    free: frozenset  # free variables of a formula node, set at construction
+
+    def __init_subclass__(cls, free: Optional[str] = None, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        names = tuple(cls.__dict__.get("__annotations__", ()))
+        params = "".join(", %s=%r" % (n, cls.__dict__[n]) if n in cls.__dict__ else ", " + n for n in names)
+        fields = "".join(" %s," % n for n in names)
+        sets = "".join("\n    object.__setattr__(node, %r, %s)" % (n, n) for n in names)
+        if free is not None:
+            sets += "\n    object.__setattr__(node, 'free', %s)" % free
+        if "__post_init__" in cls.__dict__:
+            sets += "\n    node.__post_init__()"
+        code: dict = {}
+        exec(_NEW % (params, fields, sets), globals(), code)
+        cls.__new__ = code["__new__"]
+        cls.__new__.__qualname__ = cls.__qualname__ + ".__new__"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
+
+
+# ---------------------------------------------------------------------------
 # Types
 
 
-@dataclass(frozen=True)
-class Ground:
+@dataclass(frozen=True, eq=False, init=False)
+class Ground(_Node):
     def __repr__(self) -> str:
         return "o"
 
 
-@dataclass(frozen=True)
-class Compound:
+@dataclass(frozen=True, eq=False, init=False)
+class Compound(_Node):
     parts: tuple["Type", ...]
 
     def __post_init__(self) -> None:
@@ -62,8 +125,8 @@ class Compound:
         return "(" + " x ".join(repr(p) for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
-class SetOf:
+@dataclass(frozen=True, eq=False, init=False)
+class SetOf(_Node):
     elem: "Type"
 
     def __repr__(self) -> str:
@@ -101,59 +164,6 @@ def applied_arg_types(t: Type) -> tuple[Type, ...]:
 
 # ---------------------------------------------------------------------------
 # Formulas (core)
-
-# the live node of each class and fields, by weak references that drop
-# their entry when the node dies
-_NODES: dict = {}
-
-
-class _Entry(weakref.ref):
-    __slots__ = ("key",)
-
-
-def _drop(entry: _Entry) -> None:
-    if _NODES.get(entry.key) is entry:
-        del _NODES[entry.key]
-
-
-# the __new__ written out for each node class (see _Node)
-_NEW = """
-def __new__(cls%s):
-    key = (cls,%s)
-    entry = _NODES.get(key)
-    node = entry() if entry is not None else None
-    if node is not None:
-        return node
-    node = object.__new__(cls)%s
-    object.__setattr__(node, "free", %s)
-    entry = _NODES[key] = _Entry(node, _drop)
-    entry.key = key
-    return node
-"""
-
-
-class _Node:
-    """Interned base of the formula nodes: constructing a node with the class
-    and fields of a live one returns it, so == and hash are identity.  Each
-    class's __new__ is written out from its fields and the free-variable
-    expression in its header, as dataclass writes __init__; a generic
-    __new__ taking *fields made a new node cost twice as much."""
-
-    free: frozenset  # free variables, set at construction
-
-    def __init_subclass__(cls, free: str, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        names = tuple(cls.__dict__.get("__annotations__", ()))
-        params = "".join(", %s=%r" % (n, cls.__dict__[n]) if n in cls.__dict__ else ", " + n for n in names)
-        fields = "".join(" %s," % n for n in names)
-        sets = "".join("\n    object.__setattr__(node, %r, %s)" % (n, n) for n in names)
-        code: dict = {}
-        exec(_NEW % (params, fields, sets, free), globals(), code)
-        cls.__new__ = code["__new__"]
-        cls.__new__.__qualname__ = cls.__qualname__ + ".__new__"
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -297,22 +307,34 @@ def _lookup(scope: Mapping[str, Type], var: str, where: str) -> Type:
 
 
 class _Checker:
-    """One checking pass: each distinct node is checked once per typing of
-    its free variables, so a pass over a shared DAG is linear in its nodes."""
+    """One checking pass.  A visit is keyed on the node and the types of its
+    free variables, read in the iteration order of its interned free set,
+    which is fixed, with None for an unbound one.  Types are interned, so
+    the key hashes in time linear in the node's free variables, and each
+    distinct node is checked once per typing of them: a pass over a shared
+    DAG is linear in its nodes.  A node whose checked children are its own
+    children is returned as it is, not rebuilt."""
 
     def __init__(self) -> None:
         self.done: dict = {}
 
     def check(self, f: Formula, scope: dict[str, Type]) -> Formula:
-        # only the types of the node's own free variables matter, so the
-        # cache key ignores whatever else happens to be in scope
-        key = (f, tuple(sorted((v, scope[v]) for v in f.free if v in scope)))
+        key = (f, tuple(map(scope.get, f.free)))
         hit = self.done.get(key)
         if hit is None:
             hit = self.done[key] = self._node(f, scope)
         return hit
 
     def _node(self, f: Formula, scope: dict[str, Type]) -> Formula:
+        if isinstance(f, Not):
+            sub = self.check(f.sub, scope)
+            return f if sub is f.sub else Not(sub)
+        if isinstance(f, Or):
+            left, right = self.check(f.left, scope), self.check(f.right, scope)
+            return f if left is f.left and right is f.right else Or(left, right)
+        if isinstance(f, Exists):
+            body = self.check(f.body, {**scope, f.var: f.vtype})
+            return f if body is f.body else Exists(f.var, f.vtype, body)
         if isinstance(f, Tru):
             return f
         if isinstance(f, Prop):
@@ -337,17 +359,9 @@ class _Checker:
                 )
             for v, want in zip(f.args, expected):
                 got = _lookup(scope, v, "application argument")
-                if got != want:
+                if got is not want:
                     raise TypingError("argument %r of %r has type %r, expected %r" % (v, f.head, got, want))
-            return Apply(f.head, f.args, t.elem)
-        if isinstance(f, Not):
-            return Not(self.check(f.sub, scope))
-        if isinstance(f, Or):
-            return Or(self.check(f.left, scope), self.check(f.right, scope))
-        if isinstance(f, Exists):
-            inner = dict(scope)
-            inner[f.var] = f.vtype
-            return Exists(f.var, f.vtype, self.check(f.body, inner))
+            return f if f.elem is t.elem else Apply(f.head, f.args, t.elem)
         if isinstance(f, Pfp):
             if not isinstance(f.vtype, SetOf):
                 raise TypingError("fixpoint variable %r must have a set type, got %r" % (f.var, f.vtype))
@@ -360,11 +374,10 @@ class _Checker:
                 raise TypingError("fixpoint arguments must be distinct, got %r" % (f.args,))
             for v, want in zip(f.args, expected):
                 got = _lookup(scope, v, "fixpoint argument")
-                if got != want:
+                if got is not want:
                     raise TypingError("fixpoint argument %r has type %r, expected %r" % (v, got, want))
-            inner = dict(scope)
-            inner[f.var] = f.vtype
-            return Pfp(f.var, f.vtype, self.check(f.body, inner), f.args)
+            body = self.check(f.body, {**scope, f.var: f.vtype})
+            return f if body is f.body else Pfp(f.var, f.vtype, body, f.args)
         raise TypeError("not a formula: %r" % (f,))
 
 

@@ -176,7 +176,10 @@ def build_index(spec: TowerSpec, j: int, names: Slot) -> Formula:
     """The slot holds the j-th value of the level in canonical order.
 
     Size grows linearly with j: the zero case says nothing is smaller,
-    and each step asserts a successor of a witness for j - 1.
+    and each step asserts a successor of a witness for j - 1.  Each call
+    walks iter_index from j = 0, so it costs O(j); a caller that needs
+    several indices of one slot should take them from one iter_index
+    pass instead.
     """
     if j < 0:
         raise ValueError("index must not be negative")

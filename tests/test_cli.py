@@ -15,7 +15,7 @@ from hopfp.frontend import format_lts, format_tm, parse_formula
 from hopfp.logic import RECURSION_LIMIT
 from hopfp.lts import ordered_lts
 
-from _machines import M_FIRST1, M_LOOP, M_SWEEP
+from _machines import M_FIRST1, M_LASTPROP, M_LOOP, M_SWEEP
 
 T3 = ordered_lts(3, (), ("p",), labels={(2, "p")})
 
@@ -233,6 +233,17 @@ def test_crossval_encoded_mode_too_small(tm_file, files, capsys):
                     "--lts", f])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_crossval_size_must_match_the_system(files, capsys):
+    # a host this reader fits, so only the disagreeing --n is at fault
+    tm = files("lastprop.tm", format_tm(M_LASTPROP))
+    host = files("t6.lts", format_lts(ordered_lts(6, (), ("p",), labels={(5, "p")})))
+    code = run_cli(["crossval", "--tm", tm, "--k", "1", "--c", "1",
+                    "--lts", host, "--n", "7"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: requested system size 7, but the given system has 6 states\n")
 
 
 def test_crossval_geometry_too_small(tm_file, capsys):

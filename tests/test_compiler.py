@@ -1,11 +1,13 @@
 """Machine-to-formula compilation, checked against the direct simulator."""
 
+import hashlib
 import itertools
 import json
 import random
 
 import pytest
 
+from hopfp import compiler, orders
 from hopfp.compiler import (
     SET_VAR,
     TUPLE_VARS,
@@ -21,11 +23,13 @@ from hopfp.compiler import (
     decode_stage,
     encode_configuration,
     encode_stage,
+    resolve_case,
     stage_image,
 )
 from hopfp.domains import ConformanceError, Domain, SetV, State, index_to_value, make_set
 from hopfp.evaluator import compile_formula, evaluate
-from hopfp.logic import GROUND, Compound, SetOf, formula_order
+from hopfp.frontend import format_formula
+from hopfp.logic import GROUND, Compound, SetOf, _nodes, formula_order, formula_size
 from hopfp.lts import Lts, ordered_lts
 from hopfp.machine import Configuration, iter_run
 
@@ -288,6 +292,41 @@ def test_machine_formula_is_closed_and_of_the_right_order():
     assert formula_order(build_machine_formula(ctx2, "1")) == 3
 
 
+@pytest.mark.parametrize(
+    "machine, n, params, word, pinned",
+    [
+        (M_PARITY, 5, P11, "1", (774, 4687, "d3d28b51bb82f6ad")),
+        (M_SWEEP, 3, P11, "1101", (919, 4783, "388cf6e370bcd27c")),
+        (M_ACC2, 2, ReductionParams(2, 1), "1" * 16, (922, 36307, "18f94e7013e3d5e0")),
+        (M_FIRST1, 3, P11, "10", (781, 3600, "2768e756fedbbca2")),
+    ],
+)
+def test_machine_formulas_stay_identical(machine, n, params, word, pinned):
+    # distinct nodes, tree size and a digest of the printed text
+    phi = build_machine_formula(_ctx(machine, n, params), word)
+    digest = hashlib.sha256(format_formula(phi).encode()).hexdigest()[:16]
+    assert (len(_nodes(phi)), formula_size(phi), digest) == pinned
+
+
+def test_each_indexed_slot_is_walked_once_per_build(monkeypatch):
+    starts = []
+    walk = orders.iter_index
+
+    def counted(spec, names):
+        starts.append((spec, names))
+        return walk(spec, names)
+
+    monkeypatch.setattr(orders, "iter_index", counted)
+    monkeypatch.setattr(compiler, "iter_index", counted)
+    for machine, n, word in [(M_PARITY, 5, "1"), (M_SWEEP, 3, "1101")]:
+        starts.clear()
+        build_machine_formula(_ctx(machine, n), word)
+        # the state and symbol codes of candidate and witness, and the
+        # head, cell, witness head and last input cell positions
+        assert len(set(starts)) == 8
+        assert len(starts) == len(set(starts))
+
+
 def test_unordered_system_falsifies_the_formula():
     ctx = _ctx(M_FIRST1, 3)
     phi = build_machine_formula(ctx, "1")
@@ -353,3 +392,12 @@ def test_crossval_preconditions():
     t3 = ordered_lts(3, (), ("p",), labels={(2, "p")})
     with pytest.raises(PreconditionError):
         crossval(M_LASTPROP, ReductionParams(1, 2), lts=t3)
+
+
+def test_requested_size_must_match_the_given_system():
+    with pytest.raises(ValueError, match="requested system size 7"):
+        resolve_case(M_FIRST1, P11, ordered_lts(3), "10", 7)
+    with pytest.raises(ValueError, match="requested system size 5"):
+        crossval(M_FIRST1, P11, lts=ordered_lts(3), word="10", n=5)
+    mode, ctx, word = resolve_case(M_FIRST1, P11, ordered_lts(3), "10", 3)
+    assert (mode, ctx.n, word) == ("synthetic", 3, "10")

@@ -17,6 +17,7 @@ from hopfp.logic import (
     Apply,
     Compound,
     Exists,
+    Ground,
     Not,
     Or,
     Pfp,
@@ -145,8 +146,32 @@ class TestWellFormedness:
         with pytest.raises(TypingError):
             check_well_formed(g)
 
+    def test_shared_subformula_checked_per_typing_of_its_variables(self):
+        inner = Apply("S", ("x",))
+        ground = Exists("S", SetOf(G), Exists("x", G, inner))
+        lifted = Exists("S", SetOf(SetOf(G)), Exists("x", SetOf(G), inner))
+        checked = check_well_formed(and_(ground, lifted))
+        elems = {g.elem for g in logic._nodes(checked) if isinstance(g, Apply)}
+        assert elems == {G, SetOf(G)}
+        # the same node with x left unbound, in the same pass
+        open_x = Exists("S", SetOf(G), inner)
+        with pytest.raises(TypingError, match="unbound variable 'x'"):
+            check_well_formed(conj([ground, lifted, open_x]))
+
 
 class TestInterning:
+    def test_types_are_interned(self):
+        t = SetOf(Compound((G, SetOf(G))))
+        assert t is SetOf(Compound((GROUND, SetOf(GROUND))))
+        assert Ground() is G and type(t).__hash__ is object.__hash__
+        assert pickle.loads(pickle.dumps(t)) is t
+        assert copy.deepcopy(t) is t and copy.copy(t) is t
+        f = Exists("X", t, TT)
+        assert pickle.loads(pickle.dumps(f)) is f
+        assert copy.deepcopy(f) is f
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.elem = G
+
     def test_same_fields_same_node(self):
         assert Tru() is TT
         assert Apply("X", ("x",)) is Apply("X", ("x",), None)
@@ -155,7 +180,7 @@ class TestInterning:
         a, b = Prop("p", "x"), Act("a", "x", "y")
         assert and_(a, b) is and_(a, b)
         assert and_(a, b) is not and_(b, a)
-        # types are compared by value, nodes by identity
+        # types are interned too, so equal types give one node
         assert Exists("X", SetOf(GG), TT) is Exists("X", SetOf(Compound((G, G))), TT)
         assert Pfp("X", SetOf(G), Apply("X", ("u",)), ("u",)) is Pfp(
             "X", SetOf(G), Apply("X", ("u",)), ("u",)
