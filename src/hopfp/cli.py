@@ -176,6 +176,26 @@ def cmd_domain_size(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_machine_case(p: argparse.ArgumentParser) -> None:
+    """The options that _machine_case reads."""
+    p.add_argument("--tm", required=True, help="machine file")
+    p.add_argument("--k", required=True, type=_positive, help="tower height")
+    p.add_argument("--c", required=True, type=_positive, help="tuple width")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--word", help="synthetic input word")
+    group.add_argument("--lts", help="system whose encoding becomes the word")
+    p.add_argument("--n", type=_positive, default=None,
+                   help="host system size for synthetic words")
+
+
+def _add_budgets(p: argparse.ArgumentParser) -> None:
+    """The domain and space budgets of eval and crossval."""
+    p.add_argument("--budget", type=_positive, default=DEFAULT_ENUM_BUDGET,
+                   help="largest domain a quantifier may sweep")
+    p.add_argument("--space-budget", type=_positive, default=None,
+                   help="cap on simultaneously live values")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hopfp",
@@ -198,10 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="binding for a free variable; the value is a state name, "
         "(tuple ...) or (set ...) literal",
     )
-    p.add_argument("--budget", type=_positive, default=DEFAULT_ENUM_BUDGET,
-                   help="largest domain a quantifier may sweep")
-    p.add_argument("--space-budget", type=_positive, default=None,
-                   help="cap on simultaneously live values")
+    _add_budgets(p)
     p.add_argument("--stats", action="store_true",
                    help="print one JSON record of evaluation counters")
     p.set_defaults(func=cmd_eval)
@@ -213,32 +230,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compile-tm", help="emit the formula for a machine run")
-    p.add_argument("--tm", required=True, help="machine file")
-    p.add_argument("--k", required=True, type=_positive, help="tower height")
-    p.add_argument("--c", required=True, type=_positive, help="tuple width")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--word", help="synthetic input word")
-    group.add_argument("--lts", help="system whose encoding becomes the word")
-    p.add_argument("--n", type=_positive, default=None,
-                   help="host system size for synthetic words")
+    _add_machine_case(p)
     p.add_argument("-o", "--output", default=None, help="write here, - for stdout")
     p.set_defaults(func=cmd_compile_tm)
 
     p = sub.add_parser("crossval", help="compare formula truth with simulation")
-    p.add_argument("--tm", required=True, help="machine file")
-    p.add_argument("--k", required=True, type=_positive, help="tower height")
-    p.add_argument("--c", required=True, type=_positive, help="tuple width")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--word", help="synthetic input word")
-    group.add_argument("--lts", help="system whose encoding becomes the word")
-    p.add_argument("--n", type=_positive, default=None,
-                   help="host system size for synthetic words")
+    _add_machine_case(p)
     p.add_argument("--stages", action="store_true",
                    help="also compare every fixpoint stage with the run")
-    p.add_argument("--budget", type=_positive, default=DEFAULT_ENUM_BUDGET,
-                   help="largest domain a quantifier may sweep")
-    p.add_argument("--space-budget", type=_positive, default=None,
-                   help="cap on simultaneously live values")
+    _add_budgets(p)
     p.add_argument("--max-steps", type=_positive, default=None)
     p.add_argument("--stats", action="store_true",
                    help="print the full report and counters as JSON records")

@@ -10,7 +10,8 @@ deterministic sequence cycles forever and the fixpoint is empty.  The
 one exception to streaming is a guarded block: a block of existentials
 whose variables are, in order, the arguments of a conjunct applying a
 set variable or a fixpoint walks the members of that set, or of that
-fixpoint's limit, instead of its domain.
+fixpoint's limit, instead of its domain, reading them afresh on every
+call.
 
 Internally values are handled as canonical indices (see domains): a
 ground value is a small integer, a tuple is its mixed-radix index, and a
@@ -107,10 +108,8 @@ class EvalStats:
     peak_live_values counts environment bindings plus the members of all
     fixpoint stages retained by in-flight iterations (the stabilization
     check keeps every stage seen so far) plus the members of every
-    fixpoint limit kept for reuse plus the member tuples that guarded
-    blocks keep in their plans, one per member of the guard set or limit
-    that passes the block's conjuncts over its own variables alone.  A
-    guarded block binds its variables only at those members, never
+    fixpoint limit kept for reuse.  A guarded block binds its variables
+    only at the members of its guard set or limit, one at a time, never
     across its whole domain.
     """
 
@@ -176,7 +175,7 @@ class _Space:
 
 
 class _Session:
-    """One evaluation run: compiled plan, caches and counters.
+    """One compiled formula's state: host tables, caches and counters.
 
     The tables of compiled subterms (code) and of scalar spaces are
     filled while a formula is compiled and emptied afterwards, so that
@@ -199,7 +198,6 @@ class _Session:
         # PfpTrace and limit bit mask of each fixpoint run, keyed by binder
         # and environment
         self.limits: dict = {}
-        self.plans: dict = {}
         self.cards: dict = {}
         self.code: dict = {}
         self.scalars: dict = {}
@@ -214,14 +212,17 @@ class _Session:
             self.prop_bits[p] |= 1 << s
 
     def grow(self, k: int) -> None:
-        self.live += k
-        if self.live > self.stats.peak_live_values:
-            self.stats.peak_live_values = self.live
-            if self.live > self.live_budget:
-                raise BudgetError(
-                    "%d live values exceed the space budget of %d"
-                    % (self.live, self.live_budget)
-                )
+        """Count k more live values.  Past the space budget it raises and
+        counts none of them, as the caller has nothing to release yet; the
+        peak therefore never passes the budget."""
+        live = self.live + k
+        if live > self.live_budget:
+            raise BudgetError(
+                "%d live values exceed the space budget of %d" % (live, self.live_budget)
+            )
+        self.live = live
+        if live > self.stats.peak_live_values:
+            self.stats.peak_live_values = live
 
     def shrink(self, k: int) -> None:
         self.live -= k
@@ -339,10 +340,7 @@ class _Session:
                 return m if m == full else m | right(env)
             return or_cl
         if isinstance(g, Exists):
-            chain = self.guarded_chain(g, space.scope, argv)
-            if chain is not None:
-                return self._chain(g, chain, space, bound)
-            return self._exists(g, space, bound)
+            return self._guarded(g, space, bound, argv) or self._exists(g, space, bound)
         return self._atom(g, space)
 
     def _atom(self, g: Formula, space: _Space) -> Callable:
@@ -474,28 +472,34 @@ class _Session:
             return hit
         return leaf_cl
 
-    # -- guarded existential chains --------------------------------------
+    # -- guarded blocks ---------------------------------------------------
 
-    def guarded_chain(self, f: Exists, scope: frozenset, argv: list) -> Optional[tuple]:
-        """(guard, block names, their radices, other conjuncts) of a
-        guarded chain, the guard as a closure from an environment to the
-        bit mask of its set.
+    def _guarded(self, f: Exists, space: _Space, bound: frozenset, argv: list) -> Optional[Callable]:
+        """f compiled as a guarded block, or None when it is none.
 
         When a block of existentials binds exactly the arguments, in order,
         of a conjunct that is an application of an outer set variable or a
         fixpoint (the guard), the satisfying bindings can only come from
-        members of that set or of that fixpoint's limit, so the chain can
-        walk those members instead of the full product.  The guard must
-        not read an argument of the space the block is compiled in (argv),
+        members of that set or of that fixpoint's limit.  The block walks
+        those members instead of the full product, and its value is the
+        union over them of the intersection of the other conjuncts:
+        extensionally identical to plain enumeration.  The guard must not
+        read an argument of the space the block is compiled in (argv),
         since its value is taken once per call.  An application is
         preferred, as reading it costs nothing; otherwise the first
-        fixpoint serves, wherever it stands among the conjuncts.  None when
-        f is no such chain.
+        fixpoint serves, wherever it stands among the conjuncts.
+
+        The guard's set is read on every call and none of it is kept.  A
+        member is split into the block's names by the sizes of their own
+        types, which the checker has made the guard's argument types; the
+        conjuncts over those names alone run first.
         """
         names: list = []
+        types: list = []
         body: Formula = f
         while isinstance(body, Exists):
             names.append(body.var)
+            types.append(body.vtype)
             body = body.body
         if len(set(names)) != len(names):
             return None
@@ -503,81 +507,45 @@ class _Session:
         guards = [c for c in conjuncts if isinstance(c, (Apply, Pfp)) and list(c.args) == names]
         for c in guards:
             if isinstance(c, Apply) and c.head not in names and c.head not in argv:
-                if c.elem is None:
-                    raise ConformanceError("formula was not type checked before evaluation")
                 value = itemgetter(c.head)
-                vtype = SetOf(c.elem)
                 break
         else:
             # a fixpoint's free variables beyond its arguments are outer ones
             c = next((c for c in guards if isinstance(c, Pfp) and not c.free & set(argv)), None)
             if c is None:
                 return None
-            value = self._limit(c, scope)
-            vtype = c.vtype
-        radices = tuple(map(self.card, applied_arg_types(vtype)))
-        i = conjuncts.index(c)
-        return value, tuple(names), radices, conjuncts[:i] + conjuncts[i + 1:]
-
-    def _chain(self, g: Exists, chain: tuple, space: _Space, bound: frozenset) -> Callable:
-        """A guarded chain (see guarded_chain): the union over the passing
-        members of the guard, a set variable's value or a fixpoint's limit,
-        of the intersection of the other conjuncts.  Extensionally
-        identical to plain enumeration.
-
-        Conjuncts over the chain variables alone are evaluated once per
-        guard value and the argument tuples of the members that pass them
-        are kept in plans; the chain's other conjuncts run per call.
-        """
+            value = self._limit(c, space.scope)
+        conjuncts.remove(c)
         stats = self.stats
         full = space.full
-        value, names, radices, rest = chain
-        if not rest:
+        if not conjuncts:
             # plain nonemptiness probe, cheap regardless of set size
             def any_member_cl(env: dict) -> int:
                 stats.subformula_evals += 1
                 return full if value(env) else 0
             return any_member_cl
         name_set = frozenset(names)
-        scalar = self.scalar(space.scope)
-        local = [self.compile(c, scalar, _NO_NAMES) for c in rest if c.free <= name_set]
-        outer = [self.compile(c, space, bound | name_set) for c in rest if not (c.free <= name_set)]
+        conjuncts.sort(key=lambda d: not d.free <= name_set)
+        tests = [self.compile(d, space, bound | name_set) for d in conjuncts]
+        # a member index splits into the names' values, the last one first
+        splits = tuple((v, self.card(t)) for v, t in zip(names[:0:-1], types[:0:-1]))
+        first = names[0]
         arity = len(names)
-        plans = self.plans
         sess = self
         def member_cl(env: dict) -> int:
             stats.subformula_evals += 1
             x = value(env)
-            passing = plans.get((g, x))
-            if passing is None:
-                kept = []
-                tmp: dict = {}
-                for rem in _iter_members(x):
-                    comps = [0] * arity
-                    for j in range(arity - 1, 0, -1):
-                        rem, comps[j] = divmod(rem, radices[j])
-                    comps[0] = rem
-                    for v, i in zip(names, comps):
-                        tmp[v] = i
-                    for clo in local:
-                        if not clo(tmp):
-                            break
-                    else:
-                        kept.append(tuple(comps))
-                passing = plans[(g, x)] = tuple(kept)
-                sess.grow(len(passing))
-            if not outer:
-                return full if passing else 0
             saved = {v: env.get(v, _MISSING) for v in names}
             sess.grow(arity + 1)
             acc = 0
             try:
-                for comps in passing:
-                    for v, i in zip(names, comps):
-                        env[v] = i
+                for rem in _iter_members(x):
+                    for v, r in splits:
+                        rem, env[v] = divmod(rem, r)
+                    env[first] = rem
                     m = full
-                    for conjunct in outer:
-                        m &= conjunct(env)
+                    for test in tests:
+                        m &= test(env)
                         if not m:
                             break
                     else:

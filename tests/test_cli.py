@@ -219,11 +219,11 @@ def test_crossval_stats_records(tm_file, capsys):
 def test_crossval_space_budget(tm_file, capsys):
     args = ["crossval", "--tm", tm_file, "--k", "1", "--c", "1", "--word", "10"]
     assert run_cli(args + ["--space-budget", "10000"]) == 0
-    assert run_cli(args + ["--space-budget", "50"]) == 3
+    assert run_cli(args + ["--space-budget", "20"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "agree: accept\n"
     assert "budget: " in captured.err
-    assert "exceed the space budget of 50" in captured.err
+    assert "exceed the space budget of 20" in captured.err
 
 
 def test_crossval_encoded_mode_too_small(tm_file, files, capsys):
