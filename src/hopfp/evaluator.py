@@ -29,6 +29,11 @@ stage itself, and a subformula that reads a single argument is evaluated
 in the scalar space once per value of it and spread over the tuples that
 share it.  Small stable subformulas of the scalar space are memoized.
 
+The same walk type checks the formula.  It carries the types of the
+names in scope and applies the typing rule of each atom, guard and
+fixpoint (logic.check_node) where it compiles one; a node that occurs
+under two typings is compiled, memoized and iterated apart under each.
+
 Each fixpoint is iterated once per surrounding environment.  The session
 keeps the stage trace of that run, as sets of member indices, beside the
 limit as a bitset.  It serves the limit from there to every outer
@@ -72,8 +77,10 @@ from .logic import (
     Tru,
     Type,
     TypingContext,
+    TypingError,
     allow_deep_recursion,
     applied_arg_types,
+    check_node,
     check_well_formed,
 )
 from .lts import Lts
@@ -199,6 +206,9 @@ class _Session:
         # and environment
         self.limits: dict = {}
         self.cards: dict = {}
+        # one int per node and typing of its free variables, standing for
+        # both in the keys of memo and limits
+        self.tagged: dict = {}
         self.code: dict = {}
         self.scalars: dict = {}
         self.tags = count()
@@ -253,27 +263,32 @@ class _Session:
             )
         return _Space(scope | {f.var}, f.var, f.args, cards)
 
-    def compile_root(self, f: Formula, space: Optional[_Space] = None) -> Callable:
-        """Compile f in space, by default the outermost scalar space."""
+    def compile_root(self, f: Formula, types: dict, space: Optional[_Space] = None) -> Callable:
+        """Compile f, with the names in scope typed by types, in space, by
+        default the outermost scalar space; one frame per nesting level."""
+        allow_deep_recursion()
         try:
-            return self.compile(f, space or self.scalar(_NO_NAMES), _NO_NAMES)
+            return self.compile(f, space or self.scalar(_NO_NAMES), _NO_NAMES, types)
         finally:
             self.code.clear()
             self.scalars.clear()
 
-    def compile(self, g: Formula, space: _Space, bound: frozenset) -> Callable:
+    def compile(self, g: Formula, space: _Space, bound: frozenset, types: dict) -> Callable:
         """Closure from an environment to the bitset of space's tuples at
-        which g holds.  bound is the set of names bound between space's
-        binder and g: an argument bound again there is an ordinary
-        variable.  The closures reach no compile table and form no cycle.
+        which g holds, with the names in scope typed by types.  bound is
+        the set of names bound between space's binder and g: an argument
+        bound again there is an ordinary variable.  The closures reach no
+        compile table and form no cycle.
         """
         bound = bound & g.free if space.args else _NO_NAMES
-        # shared subterms compile once per space
-        ckey = (g, space, bound)
+        # shared subterms compile once per space and typing of their
+        # free variables: one node may occur under several typings
+        typing = tuple(map(types.get, g.free))
+        ckey = (g, space, bound, typing)
         got = self.code.get(ckey)
         if got is not None:
             return got
-        clo = self._compile(g, space, bound)
+        clo = self._compile(g, space, bound, types)
         fv = g.free
         if (
             not space.args
@@ -284,9 +299,10 @@ class _Session:
             names = tuple(sorted(fv))
             memo = self.memo
             inner = clo
+            tag = self.tagged.setdefault((g, typing), len(self.tagged))
             def memoized(env: dict) -> int:
                 # a list builds faster than a generator, on the hottest line
-                key = (g,) + tuple([env[v] for v in names])
+                key = (tag,) + tuple([env[v] for v in names])
                 hit = memo.get(key)
                 if hit is None:
                     hit = inner(env)
@@ -297,7 +313,7 @@ class _Session:
         self.code[ckey] = clo
         return clo
 
-    def _compile(self, g: Formula, space: _Space, bound: frozenset) -> Callable:
+    def _compile(self, g: Formula, space: _Space, bound: frozenset, types: dict) -> Callable:
         stats = self.stats
         full = space.full
         argv: list = []
@@ -305,7 +321,7 @@ class _Session:
             argv = [v for v in space.args if v in g.free and v not in bound]
             if not argv:
                 # g reads none of the arguments: all tuples or none
-                clo = self.compile(g, self.scalar(space.scope), _NO_NAMES)
+                clo = self.compile(g, self.scalar(space.scope), _NO_NAMES, types)
                 def const_cl(env: dict) -> int:
                     return full if clo(env) else 0
                 return const_cl
@@ -317,34 +333,37 @@ class _Session:
                 and g.args == space.args
                 and len(argv) == len(space.args)
             ):
+                # well typed by its binder's rule
                 def stage_cl(env: dict) -> int:
                     stats.subformula_evals += 1
                     return env[var]
                 return stage_cl
             if len(argv) == 1 or not isinstance(g, (Not, Or, Exists)):
-                return self._leaf(g, space, argv, bound)
+                return self._leaf(g, space, argv, bound, types)
         elif isinstance(g, Not) and isinstance(g.sub, Not):
-            return self.compile(g.sub.sub, space, bound)
+            return self.compile(g.sub.sub, space, bound, types)
         if isinstance(g, Not):
-            sub = self.compile(g.sub, space, bound)
+            sub = self.compile(g.sub, space, bound, types)
             def not_cl(env: dict) -> int:
                 stats.subformula_evals += 1
                 return full ^ sub(env)
             return not_cl
         if isinstance(g, Or):
-            left = self.compile(g.left, space, bound)
-            right = self.compile(g.right, space, bound)
+            left = self.compile(g.left, space, bound, types)
+            right = self.compile(g.right, space, bound, types)
             def or_cl(env: dict) -> int:
                 stats.subformula_evals += 1
                 m = left(env)
                 return m if m == full else m | right(env)
             return or_cl
         if isinstance(g, Exists):
-            return self._guarded(g, space, bound, argv) or self._exists(g, space, bound)
-        return self._atom(g, space)
+            return self._guarded(g, space, bound, argv, types) or self._exists(g, space, bound, types)
+        return self._atom(g, space, types)
 
-    def _atom(self, g: Formula, space: _Space) -> Callable:
-        """Atoms and fixpoints, which are compiled in the scalar space only."""
+    def _atom(self, g: Formula, space: _Space, types: dict) -> Callable:
+        """Atoms and fixpoints, which are compiled in the scalar space only,
+        each after its typing rule is checked."""
+        check_node(g, types)
         stats = self.stats
         if isinstance(g, Tru):
             def true_cl(env: dict) -> int:
@@ -367,16 +386,14 @@ class _Session:
                 return (bits >> (env[src] * n + env[dst])) & 1
             return act_cl
         if isinstance(g, Apply):
-            if g.elem is None:
-                raise ConformanceError("formula was not type checked before evaluation")
             head = g.head
-            combine = self._combiner(g.elem, g.args)
+            combine = self._combiner(types[head].elem, g.args)
             def apply_cl(env: dict) -> int:
                 stats.subformula_evals += 1
                 return (env[head] >> combine(env)) & 1
             return apply_cl
         if isinstance(g, Pfp):
-            limit = self._limit(g, space.scope)
+            limit = self._limit(g, space.scope, types)
             combine = self._combiner(g.vtype.elem, g.args)
             def pfp_cl(env: dict) -> int:
                 stats.subformula_evals += 1
@@ -397,7 +414,7 @@ class _Session:
         single = args[0]
         return lambda env: env[single]
 
-    def _exists(self, g: Exists, space: _Space, bound: frozenset) -> Callable:
+    def _exists(self, g: Exists, space: _Space, bound: frozenset, types: dict) -> Callable:
         stats = self.stats
         full = space.full
         var = g.var
@@ -406,7 +423,7 @@ class _Session:
             raise BudgetError(
                 "existential over a domain of size %d exceeds budget %d" % (card, self.budget)
             )
-        body = self.compile(g.body, space, bound | {var})
+        body = self.compile(g.body, space, bound | {var}, {**types, var: g.vtype})
         sess = self
         def exists_cl(env: dict) -> int:
             stats.subformula_evals += 1
@@ -430,7 +447,7 @@ class _Session:
                 sess.shrink(2)
         return exists_cl
 
-    def _leaf(self, g: Formula, space: _Space, argv: list, bound: frozenset) -> Callable:
+    def _leaf(self, g: Formula, space: _Space, argv: list, bound: frozenset, types: dict) -> Callable:
         """g evaluated in the scalar space at one binding per value of the
         arguments it reads.
 
@@ -441,7 +458,7 @@ class _Session:
         the body: for one stage if g reads the stage, else for the run.
         """
         stats = self.stats
-        clo = self.compile(g, self.scalar(space.scope), _NO_NAMES)
+        clo = self.compile(g, self.scalar(space.scope), _NO_NAMES, types)
         cache = space.step if space.var in g.free and space.var not in bound else space.run
         tag = next(self.tags)
         keyvars = tuple(sorted(g.free & bound))
@@ -474,7 +491,9 @@ class _Session:
 
     # -- guarded blocks ---------------------------------------------------
 
-    def _guarded(self, f: Exists, space: _Space, bound: frozenset, argv: list) -> Optional[Callable]:
+    def _guarded(
+        self, f: Exists, space: _Space, bound: frozenset, argv: list, types: dict
+    ) -> Optional[Callable]:
         """f compiled as a guarded block, or None when it is none.
 
         When a block of existentials binds exactly the arguments, in order,
@@ -491,15 +510,15 @@ class _Session:
 
         The guard's set is read on every call and none of it is kept.  A
         member is split into the block's names by the sizes of their own
-        types, which the checker has made the guard's argument types; the
+        types, which the guard's typing rule makes its argument types; the
         conjuncts over those names alone run first.
         """
         names: list = []
-        types: list = []
+        inner = dict(types)
         body: Formula = f
         while isinstance(body, Exists):
             names.append(body.var)
-            types.append(body.vtype)
+            inner[body.var] = body.vtype
             body = body.body
         if len(set(names)) != len(names):
             return None
@@ -507,14 +526,14 @@ class _Session:
         guards = [c for c in conjuncts if isinstance(c, (Apply, Pfp)) and list(c.args) == names]
         for c in guards:
             if isinstance(c, Apply) and c.head not in names and c.head not in argv:
-                value = itemgetter(c.head)
                 break
         else:
             # a fixpoint's free variables beyond its arguments are outer ones
             c = next((c for c in guards if isinstance(c, Pfp) and not c.free & set(argv)), None)
             if c is None:
                 return None
-            value = self._limit(c, space.scope)
+        check_node(c, inner)
+        value = itemgetter(c.head) if isinstance(c, Apply) else self._limit(c, space.scope, inner)
         conjuncts.remove(c)
         stats = self.stats
         full = space.full
@@ -526,9 +545,9 @@ class _Session:
             return any_member_cl
         name_set = frozenset(names)
         conjuncts.sort(key=lambda d: not d.free <= name_set)
-        tests = [self.compile(d, space, bound | name_set) for d in conjuncts]
+        tests = [self.compile(d, space, bound | name_set, inner) for d in conjuncts]
         # a member index splits into the names' values, the last one first
-        splits = tuple((v, self.card(t)) for v, t in zip(names[:0:-1], types[:0:-1]))
+        splits = tuple((v, self.card(inner[v])) for v in names[:0:-1])
         first = names[0]
         arity = len(names)
         sess = self
@@ -560,25 +579,27 @@ class _Session:
 
     # -- partial fixpoints ------------------------------------------------
 
-    def _limit(self, f: Pfp, scope: frozenset) -> Callable:
+    def _limit(self, f: Pfp, scope: frozenset, types: dict) -> Callable:
         """Closure from an environment to the bit mask of f's limit there.
 
-        f is compiled once per scope, whether it serves as an atom or as
-        the guard of a block.  It runs once per binding of its free
-        variables beyond its arguments; limits keeps the run's trace and
-        limit.
+        f, whose typing rule holds, is compiled once per scope and typing
+        of its free variables, whether it serves as an atom or as the
+        guard of a block.  It runs once per binding of its free variables
+        beyond its arguments; limits keeps the run's trace and limit.
         """
-        ckey = (f, scope)
+        typing = tuple(map(types.get, f.free))
+        ckey = (f, scope, typing)
         got = self.code.get(ckey)
         if got is not None:
             return got
         inner = self.binder_space(f, scope)
-        body = self.compile(f.body, inner, _NO_NAMES)
+        body = self.compile(f.body, inner, _NO_NAMES, {**types, f.var: f.vtype})
         residual = tuple(sorted(f.free - set(f.args)))
+        tag = self.tagged.setdefault((f, typing), len(self.tagged))
         limits = self.limits
         sess = self
         def limit_cl(env: dict) -> int:
-            key = (f,) + tuple([env[v] for v in residual])
+            key = (tag,) + tuple([env[v] for v in residual])
             run = limits.get(key)
             if run is None:
                 run = limits[key] = sess.run_pfp(f, inner, body, env)
@@ -664,12 +685,12 @@ class CompiledFormula:
     compile_formula to construct one.
     """
 
-    def __init__(self, session: _Session, checked: Formula, declared: dict) -> None:
+    def __init__(self, session: _Session, f: Formula, declared: dict) -> None:
         self._session = session
         self._declared = declared
-        self._free = tuple(sorted(checked.free))
-        self._root = session.compile_root(checked)
-        self.formula = checked
+        self._free = tuple(sorted(f.free))
+        self._root = session.compile_root(f, declared)
+        self.formula = f
 
     @property
     def stats(self) -> EvalStats:
@@ -708,22 +729,6 @@ def _index_env(n: int, declared: dict, free: tuple, env: Optional[Environment]) 
     return ienv
 
 
-def _open_session(
-    lts: Lts,
-    f: Formula,
-    ctx: Optional[TypingContext],
-    budget: int,
-    stats: Optional[EvalStats] = None,
-    live_budget: Optional[int] = None,
-) -> tuple[Formula, _Session]:
-    """The type checked formula and a fresh session to compile it in;
-    both steps recurse once per nesting level of the formula."""
-    allow_deep_recursion()
-    checked = check_well_formed(f, ctx)
-    stats = stats if stats is not None else EvalStats()
-    return checked, _Session(lts, budget, stats, live_budget)
-
-
 def compile_formula(
     lts: Lts,
     f: Formula,
@@ -734,12 +739,23 @@ def compile_formula(
 ) -> CompiledFormula:
     """Type check the formula and prepare it for repeated evaluation.
 
-    Raises BudgetError already here when a quantifier would sweep, or a
-    fixpoint would iterate over, a domain larger than the budget, whether
-    or not an evaluation would reach it.
+    One walk does both: every atom, guard and fixpoint is checked by its
+    typing rule (logic.check_node) under the types in scope where it is
+    compiled, the free variables typed by ctx.  Raises TypingError on an
+    ill-typed formula, with the message check_well_formed gives, and
+    BudgetError already here when a quantifier would sweep, or a fixpoint
+    would iterate over, a domain larger than the budget, whether or not an
+    evaluation would reach it.  A typing error anywhere in the formula
+    takes precedence over any budget error.
     """
-    checked, session = _open_session(lts, f, ctx, budget, stats, live_budget)
-    return CompiledFormula(session, checked, dict(ctx) if ctx else {})
+    declared = dict(ctx) if ctx else {}
+    session = _Session(lts, budget, stats if stats is not None else EvalStats(), live_budget)
+    try:
+        return CompiledFormula(session, f, declared)
+    except (TypingError, BudgetError):
+        # the walk meets errors in its own order: report the checker's first
+        check_well_formed(f, declared)
+        raise
 
 
 def evaluate(
@@ -821,11 +837,13 @@ def apply_stage(
     ConformanceError on a member index outside the element domain.
     """
     declared, bound = _binder_scope(lts, f, env, ctx)
-    checked, session = _open_session(lts, f, declared, budget)
-    size = session.card(checked.vtype.elem)
+    check_well_formed(f, declared)
+    session = _Session(lts, budget, EvalStats())
+    size = session.card(f.vtype.elem)
     if any(not 0 <= m < size for m in members):
         raise ConformanceError("member indices must lie in [0, %d): %r" % (size, members))
-    image = session.compile_root(checked.body, session.binder_space(checked, _NO_NAMES))
-    ienv = _index_env(lts.n, declared, tuple(sorted(checked.free)), bound)
-    ienv[checked.var] = sum(1 << m for m in set(members))
+    space = session.binder_space(f, _NO_NAMES)
+    image = session.compile_root(f.body, {**declared, f.var: f.vtype}, space)
+    ienv = _index_env(lts.n, declared, tuple(sorted(f.free)), bound)
+    ienv[f.var] = sum(1 << m for m in set(members))
     return frozenset(_iter_members(image(ienv)))

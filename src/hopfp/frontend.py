@@ -269,7 +269,7 @@ def parse_formula(text: str) -> Formula:
 
 
 def format_formula(f: Formula) -> str:
-    """Core-shape text; parse_formula(format_formula(f)) is f for f not yet type checked."""
+    """Core-shape text; parse_formula(format_formula(f)) is f."""
     allow_deep_recursion()
     return _format(f)
 

@@ -17,6 +17,14 @@ when they are the same object, and a formula built twice, or read back
 from its printed text, is one shared DAG.  Every node carries its free
 variables in its free attribute, set when it is built.  Types are
 hash-consed the same way, so comparing and hashing them is by identity.
+
+Typing is a side condition that adds nothing to a formula: there is one
+formula shape, checked or not.  check_node holds the typing rule of a
+single node under the types of the names in scope; check_well_formed
+applies it to every node of a formula, and the evaluator's compiler
+applies it to each atom, guard and fixpoint as it compiles them.  The
+walks here (checking, formula_order, formula_size) are iterative, so
+they need no raised recursion limit however deep the formula.
 """
 
 from __future__ import annotations
@@ -188,8 +196,6 @@ class Act(_Node, free="frozenset((src, dst))"):
 class Apply(_Node, free="frozenset((head,) + args)"):
     head: str
     args: tuple[str, ...]
-    # element type of the head's set type, filled in by check_well_formed
-    elem: Optional[Type] = None
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -287,16 +293,31 @@ TypingContext = Mapping[str, Type]
 
 
 def check_well_formed(f: Formula, ctx: Optional[TypingContext] = None) -> Formula:
-    """Check the typing rules and return the annotated formula.
+    """Check the typing rules and return f itself.
 
     Proposition and action atoms take ground variables.  An applied or
     fixpoint-bound variable has a set type whose element determines the
     argument count and types (see applied_arg_types).  Raises TypingError
-    on any violation; on success returns the formula with every Apply node
-    carrying its head's element type.  Checking an already annotated
-    formula returns that same formula.
+    on the first violation met in a walk of f's nodes in order, parents
+    before children and children left to right.  Each distinct node is
+    visited once per typing of its free variables, so the walk is linear
+    in the DAG; it is iterative, so a deep formula needs no recursion.
     """
-    return _Checker().check(f, dict(ctx) if ctx else {})
+    done: set = set()
+    stack = [(f, dict(ctx) if ctx else {})]
+    while stack:
+        g, scope = stack.pop()
+        # the types of g's free variables, read in the fixed iteration
+        # order of its interned free set, with None for an unbound one
+        key = (g, tuple(map(scope.get, g.free)))
+        if key in done:
+            continue
+        done.add(key)
+        check_node(g, scope)
+        if isinstance(g, (Exists, Pfp)):
+            scope = {**scope, g.var: g.vtype}
+        stack.extend((k, scope) for k in reversed(_children(g)))
+    return f
 
 
 def _lookup(scope: Mapping[str, Type], var: str, where: str) -> Type:
@@ -306,79 +327,48 @@ def _lookup(scope: Mapping[str, Type], var: str, where: str) -> Type:
         raise TypingError("unbound variable %r in %s" % (var, where)) from None
 
 
-class _Checker:
-    """One checking pass.  A visit is keyed on the node and the types of its
-    free variables, read in the iteration order of its interned free set,
-    which is fixed, with None for an unbound one.  Types are interned, so
-    the key hashes in time linear in the node's free variables, and each
-    distinct node is checked once per typing of them: a pass over a shared
-    DAG is linear in its nodes.  A node whose checked children are its own
-    children is returned as it is, not rebuilt."""
-
-    def __init__(self) -> None:
-        self.done: dict = {}
-
-    def check(self, f: Formula, scope: dict[str, Type]) -> Formula:
-        key = (f, tuple(map(scope.get, f.free)))
-        hit = self.done.get(key)
-        if hit is None:
-            hit = self.done[key] = self._node(f, scope)
-        return hit
-
-    def _node(self, f: Formula, scope: dict[str, Type]) -> Formula:
-        if isinstance(f, Not):
-            sub = self.check(f.sub, scope)
-            return f if sub is f.sub else Not(sub)
-        if isinstance(f, Or):
-            left, right = self.check(f.left, scope), self.check(f.right, scope)
-            return f if left is f.left and right is f.right else Or(left, right)
-        if isinstance(f, Exists):
-            body = self.check(f.body, {**scope, f.var: f.vtype})
-            return f if body is f.body else Exists(f.var, f.vtype, body)
-        if isinstance(f, Tru):
-            return f
-        if isinstance(f, Prop):
-            t = _lookup(scope, f.var, "proposition atom")
+def check_node(f: Formula, scope: Mapping[str, Type]) -> None:
+    """The typing rule of the node f alone, under the types of the names
+    in scope; its children are not looked at.  Only proposition and
+    action atoms, applications and fixpoints have a rule: a fixpoint's
+    arguments are typed in scope, and its body, checked on its own, in
+    scope and the fixpoint variable.  Raises TypingError."""
+    if isinstance(f, Prop):
+        t = _lookup(scope, f.var, "proposition atom")
+        if not isinstance(t, Ground):
+            raise TypingError("proposition %r needs a ground variable, %r has type %r" % (f.prop, f.var, t))
+    elif isinstance(f, Act):
+        for v in (f.src, f.dst):
+            t = _lookup(scope, v, "action atom")
             if not isinstance(t, Ground):
-                raise TypingError("proposition %r needs a ground variable, %r has type %r" % (f.prop, f.var, t))
-            return f
-        if isinstance(f, Act):
-            for v in (f.src, f.dst):
-                t = _lookup(scope, v, "action atom")
-                if not isinstance(t, Ground):
-                    raise TypingError("action %r needs ground variables, %r has type %r" % (f.action, v, t))
-            return f
-        if isinstance(f, Apply):
-            t = _lookup(scope, f.head, "application")
-            if not isinstance(t, SetOf):
-                raise TypingError("applied variable %r must have a set type, got %r" % (f.head, t))
-            expected = applied_arg_types(t)
-            if len(f.args) != len(expected):
-                raise TypingError(
-                    "%r applied to %d arguments, its type %r takes %d" % (f.head, len(f.args), t, len(expected))
-                )
-            for v, want in zip(f.args, expected):
-                got = _lookup(scope, v, "application argument")
-                if got is not want:
-                    raise TypingError("argument %r of %r has type %r, expected %r" % (v, f.head, got, want))
-            return f if f.elem is t.elem else Apply(f.head, f.args, t.elem)
-        if isinstance(f, Pfp):
-            if not isinstance(f.vtype, SetOf):
-                raise TypingError("fixpoint variable %r must have a set type, got %r" % (f.var, f.vtype))
-            expected = applied_arg_types(f.vtype)
-            if len(f.args) != len(expected):
-                raise TypingError(
-                    "fixpoint over %r applied to %d arguments, expected %d" % (f.var, len(f.args), len(expected))
-                )
-            if len(set(f.args)) != len(f.args):
-                raise TypingError("fixpoint arguments must be distinct, got %r" % (f.args,))
-            for v, want in zip(f.args, expected):
-                got = _lookup(scope, v, "fixpoint argument")
-                if got is not want:
-                    raise TypingError("fixpoint argument %r has type %r, expected %r" % (v, got, want))
-            body = self.check(f.body, {**scope, f.var: f.vtype})
-            return f if body is f.body else Pfp(f.var, f.vtype, body, f.args)
-        raise TypeError("not a formula: %r" % (f,))
+                raise TypingError("action %r needs ground variables, %r has type %r" % (f.action, v, t))
+    elif isinstance(f, Apply):
+        t = _lookup(scope, f.head, "application")
+        if not isinstance(t, SetOf):
+            raise TypingError("applied variable %r must have a set type, got %r" % (f.head, t))
+        expected = applied_arg_types(t)
+        if len(f.args) != len(expected):
+            raise TypingError(
+                "%r applied to %d arguments, its type %r takes %d" % (f.head, len(f.args), t, len(expected))
+            )
+        for v, want in zip(f.args, expected):
+            got = _lookup(scope, v, "application argument")
+            if got is not want:
+                raise TypingError("argument %r of %r has type %r, expected %r" % (v, f.head, got, want))
+    elif isinstance(f, Pfp):
+        if not isinstance(f.vtype, SetOf):
+            raise TypingError("fixpoint variable %r must have a set type, got %r" % (f.var, f.vtype))
+        expected = applied_arg_types(f.vtype)
+        if len(f.args) != len(expected):
+            raise TypingError(
+                "fixpoint over %r applied to %d arguments, expected %d" % (f.var, len(f.args), len(expected))
+            )
+        if len(set(f.args)) != len(f.args):
+            raise TypingError("fixpoint arguments must be distinct, got %r" % (f.args,))
+        for v, want in zip(f.args, expected):
+            got = _lookup(scope, v, "fixpoint argument")
+            if got is not want:
+                raise TypingError("fixpoint argument %r has type %r, expected %r" % (v, got, want))
 
 
 def formula_order(f: Formula, ctx: Optional[TypingContext] = None) -> int:
@@ -398,13 +388,21 @@ def formula_size(f: Formula) -> int:
     return sizes[f]
 
 
-def _nodes(f: Formula, seen: Optional[dict] = None) -> dict:
-    """The distinct nodes of f as the keys of a dict, each after its children."""
-    seen = {} if seen is None else seen
-    if f not in seen:
-        for k in _children(f):
-            _nodes(k, seen)
-        seen[f] = None
+def _nodes(f: Formula) -> dict:
+    """The distinct nodes of f as the keys of a dict, each after its
+    children, in the order of a depth-first walk, children left to right."""
+    seen: dict = {}
+    # (node, whether its children are on the stack above it already)
+    stack = [(f, False)]
+    while stack:
+        g, expanded = stack.pop()
+        if g in seen:
+            continue
+        if expanded:
+            seen[g] = None
+        else:
+            stack.append((g, True))
+            stack.extend((k, False) for k in reversed(_children(g)))
     return seen
 
 

@@ -23,8 +23,8 @@ from hopfp.lts import Lts
 
 
 def ref_eval(lts: Lts, f, env=None, ctx=None) -> bool:
-    checked = check_well_formed(f, ctx)
-    return _eval(lts, checked, dict(env or {}))
+    check_well_formed(f, ctx)
+    return _eval(lts, f, dict(env or {}), dict(ctx or {}))
 
 
 def _member_of(elem, values) -> Value:
@@ -33,7 +33,8 @@ def _member_of(elem, values) -> Value:
     return values[0]
 
 
-def _eval(lts: Lts, f, env: dict) -> bool:
+def _eval(lts: Lts, f, env: dict, scope: dict) -> bool:
+    """Truth of f under env, whose names have the types in scope."""
     if isinstance(f, Tru):
         return True
     if isinstance(f, Prop):
@@ -41,18 +42,19 @@ def _eval(lts: Lts, f, env: dict) -> bool:
     if isinstance(f, Act):
         return lts.has_edge(env[f.src].index, f.action, env[f.dst].index)
     if isinstance(f, Apply):
-        member = _member_of(f.elem, [env[a] for a in f.args])
+        member = _member_of(scope[f.head].elem, [env[a] for a in f.args])
         return member in env[f.head].members
     if isinstance(f, Not):
-        return not _eval(lts, f.sub, env)
+        return not _eval(lts, f.sub, env, scope)
     if isinstance(f, Or):
-        return _eval(lts, f.left, env) or _eval(lts, f.right, env)
+        return _eval(lts, f.left, env, scope) or _eval(lts, f.right, env, scope)
     if isinstance(f, Exists):
         saved = env.get(f.var)
         had = f.var in env
+        inner = {**scope, f.var: f.vtype}
         for v in iter_domain(Domain(f.vtype, lts.n)):
             env[f.var] = v
-            if _eval(lts, f.body, env):
+            if _eval(lts, f.body, env, inner):
                 if had:
                     env[f.var] = saved
                 else:
@@ -64,14 +66,15 @@ def _eval(lts: Lts, f, env: dict) -> bool:
             del env[f.var]
         return False
     if isinstance(f, Pfp):
-        limit, _ = ref_pfp_limit(lts, f, env)
+        limit, _ = ref_pfp_limit(lts, f, env, scope)
         member = _member_of(f.vtype.elem, [env[a] for a in f.args])
         return member in limit.members
     raise TypeError("not a formula: %r" % (f,))
 
 
-def ref_pfp_limit(lts: Lts, f: Pfp, env: dict) -> tuple:
-    """Iterate the stage function from the empty set to its outcome.
+def ref_pfp_limit(lts: Lts, f: Pfp, env: dict, scope: dict) -> tuple:
+    """Iterate the stage function from the empty set to its outcome, the
+    names of env and f's arguments having the types in scope.
 
     Returns the limit and the list of stages, from the empty set up to
     and including the first repeated one.
@@ -82,6 +85,7 @@ def ref_pfp_limit(lts: Lts, f: Pfp, env: dict) -> tuple:
         part_domains = [Domain(p, lts.n) for p in f.vtype.elem.parts]
     else:
         part_domains = [elem_domain]
+    inner_scope = {**scope, f.var: f.vtype}
 
     def stage(current: SetV) -> SetV:
         inner = dict(env)
@@ -91,7 +95,7 @@ def ref_pfp_limit(lts: Lts, f: Pfp, env: dict) -> tuple:
             parts = candidate.items if isinstance(candidate, Tup) else (candidate,)
             for a, p in zip(f.args, parts):
                 inner[a] = p
-            if _eval(lts, f.body, inner):
+            if _eval(lts, f.body, inner, inner_scope):
                 members.append(candidate)
         return make_set(members)
 

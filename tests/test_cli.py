@@ -123,6 +123,21 @@ def test_eval_usage_errors(files, lts_file, capsys):
     assert capsys.readouterr().err.count("error:") == 4
 
 
+def test_eval_reports_the_checker_first_typing_error(files, lts_file, capsys):
+    # a typing error behind a quantifier over too large a domain, and two
+    # under a guarded block that runs its conjunct over x and y first
+    behind_budget = files("b.hof", "(or (exists ((R (set (tuple o o)))) tt) "
+                                   "(exists ((x o)) (prop p y)))")
+    block = files("g.hof", "(exists ((S (set (tuple o o))) (Z (set o))) (and tt "
+                           "(exists ((x o) (y o)) (and (app S x y) (prop p Z) (app x y)))))")
+    for f, err in (
+        (behind_budget, "error: unbound variable 'y' in proposition atom\n"),
+        (block, "error: proposition 'p' needs a ground variable, 'Z' has type set(o)\n"),
+    ):
+        assert run_cli(["eval", "--lts", lts_file, "--formula", f, "--budget", "100"]) == 2
+        assert capsys.readouterr().err == err
+
+
 def test_eval_budget_errors(files, lts_file, capsys):
     f = files("big.hof", "(exists ((X (set o))) (app X x))")
     args = ["eval", "--lts", lts_file, "--formula", f, "--env", "x=s0"]

@@ -1,5 +1,6 @@
 """Machine-to-formula compilation, checked against the direct simulator."""
 
+import gc
 import hashlib
 import itertools
 import json
@@ -7,7 +8,7 @@ import random
 
 import pytest
 
-from hopfp import compiler, orders
+from hopfp import compiler, logic, orders
 from hopfp.compiler import (
     SET_VAR,
     TUPLE_VARS,
@@ -29,7 +30,15 @@ from hopfp.compiler import (
 from hopfp.domains import ConformanceError, Domain, SetV, State, index_to_value, make_set
 from hopfp.evaluator import compile_formula, evaluate
 from hopfp.frontend import format_formula
-from hopfp.logic import GROUND, Compound, SetOf, _nodes, formula_order, formula_size
+from hopfp.logic import (
+    GROUND,
+    Compound,
+    SetOf,
+    _nodes,
+    check_well_formed,
+    formula_order,
+    formula_size,
+)
 from hopfp.lts import Lts, ordered_lts
 from hopfp.machine import Configuration, iter_run
 
@@ -306,6 +315,16 @@ def test_machine_formulas_stay_identical(machine, n, params, word, pinned):
     phi = build_machine_formula(_ctx(machine, n, params), word)
     digest = hashlib.sha256(format_formula(phi).encode()).hexdigest()[:16]
     assert (len(_nodes(phi)), formula_size(phi), digest) == pinned
+
+
+def test_checking_a_machine_formula_builds_no_node():
+    # a checked formula is the built one, not a second DAG beside it
+    phi = build_machine_formula(_ctx(M_PARITY, 5), "1")
+    gc.collect()
+    before = len(logic._NODES)
+    checked = check_well_formed(phi)
+    assert len(logic._NODES) - before == 0
+    assert checked is phi
 
 
 def test_each_indexed_slot_is_walked_once_per_build(monkeypatch):

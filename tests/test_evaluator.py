@@ -49,6 +49,7 @@ from hopfp.logic import (
     TypingError,
     and_,
     check_well_formed,
+    conj,
     forall,
 )
 from hopfp.lts import ordered_lts
@@ -139,6 +140,29 @@ class TestBasics:
         with pytest.raises(BudgetError):
             compile_formula(T, pairs, budget=8)
         assert evaluate(T, pairs, budget=9)
+
+    def test_typing_errors_are_the_checker_ones(self):
+        # compiling meets errors in its own order: a quantifier over too
+        # large a domain before a typing error, and a guarded block's
+        # conjuncts over its names alone before the others.  Both report
+        # the first error of check_well_formed.
+        T = lab_lts()
+        behind_budget = Or(Exists("R", SetOf(GG), TT), Exists("x", G, Prop("p", "y")))
+        block = Exists("x", G, Exists("y", G, conj([
+            Apply("S", ("x", "y")), Prop("p", "Z"), Apply("x", ("y",))])))
+        for f, ctx, first in (
+            (behind_budget, None, "unbound variable 'y' in proposition atom"),
+            (block, {"S": SetOf(GG), "Z": SetOf(G)},
+             "proposition 'p' needs a ground variable, 'Z' has type set(o)"),
+        ):
+            with pytest.raises(TypingError) as checked:
+                check_well_formed(f, ctx)
+            assert str(checked.value) == first
+            for run in (lambda: evaluate(T, f, ctx=ctx, budget=100),
+                        lambda: compile_formula(T, f, ctx, budget=100)):
+                with pytest.raises(TypingError) as got:
+                    run()
+                assert str(got.value) == first
 
     def test_dropped_formula_is_freed_without_the_cycle_collector(self):
         T = lab_lts()
@@ -382,7 +406,8 @@ def test_differential_against_reference(seed):
 
 
 def _assert_pfp_trace_matches_reference(T, pf: Pfp, scope: dict, env: dict) -> None:
-    ref_limit, ref_stages = ref_pfp_limit(T, check_well_formed(pf, scope), env)
+    check_well_formed(pf, scope)
+    ref_limit, ref_stages = ref_pfp_limit(T, pf, env, scope)
     ctx = {v: t for v, t in scope.items() if v not in pf.args}
     tr = pfp_iterate(T, pf, env=env, ctx=ctx)
     assert [tr.stage_value(i) for i in range(len(tr.stages))] == ref_stages
@@ -460,6 +485,47 @@ def test_differential_pfp_traces_over_argument_tuples(seed):
     pf = Pfp("X", X, body, args)
     env = {v: State(rng.randrange(T.n)) for v in scope if v not in args}
     _assert_pfp_trace_matches_reference(T, pf, scope, env)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_one_node_under_two_typings(seed):
+    # one interned probe is read under S:(set (tuple o o)), y:o from the
+    # context, and under S:(set (tuple o (set o))), y:(set o) bound by
+    # blocks guarded by the singletons R and Y, so that S(x, y) tests
+    # member x*2+y in one typing and x*4+y in the other.  The formula
+    # holds when the two readings differ.  The probes are a memoized
+    # node over S and y, a guarded block and a fixpoint over the outer S
+    # and y; every compile, memo and limit key must tell the typings
+    # apart.  Half of the queries give both typings the same indices.
+    rng = random.Random(seed)
+    T = ordered_lts(2, actions=("a",),
+                    edges=[(i, "a", j) for i in range(2) for j in range(2) if rng.random() < 0.5])
+    T1, T2 = SetOf(GG), SetOf(Compound((G, SetOf(G))))
+    ctx = {"S": T1, "y": G, "E": T1, "R": SetOf(T2), "Y": SetOf(SetOf(G))}
+    reach = Exists("v", G, and_(Apply("X", ("v",)), Act("a", "v", "u")))
+    probes = [
+        Exists("x", G, Apply("S", ("x", "y"))),
+        Exists("x", G, Exists("w", G, and_(Apply("E", ("x", "w")), Apply("S", ("w", "y"))))),
+        Exists("u", G, Pfp("X", SetOf(G), Or(Apply("S", ("u", "y")), reach), ("u",))),
+    ]
+    d1, d2, dy = Domain(T1, 2), Domain(T2, 2), Domain(SetOf(G), 2)
+    for probe in probes:
+        shadow = Exists("S", T2, and_(Apply("R", ("S",)),
+                                      Exists("y", SetOf(G), and_(Apply("Y", ("y",)), probe))))
+        f = Or(and_(probe, Not(shadow)), and_(Not(probe), shadow))
+        compiled = compile_formula(T, f, ctx)
+        for _ in range(8):
+            s1, y1 = rng.randrange(16), rng.randrange(2)
+            s2, y2 = (s1, y1) if rng.random() < 0.5 else (rng.randrange(256), rng.randrange(4))
+            env = {
+                "S": index_to_value(d1, s1),
+                "y": State(y1),
+                "E": index_to_value(d1, rng.randrange(16)),
+                "R": make_set([index_to_value(d2, s2)]),
+                "Y": make_set([index_to_value(dy, y2)]),
+            }
+            assert compiled(env) == ref_eval(T, f, env, ctx), (probe, env)
 
 
 def test_member_guarded_chain_matches_reference():

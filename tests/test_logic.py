@@ -3,9 +3,14 @@
 import copy
 import dataclasses
 import gc
+import os
 import pickle
 import signal
+import subprocess
+import sys
+import textwrap
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -89,19 +94,19 @@ class TestSugar:
 
 class TestWellFormedness:
     def test_annotation(self):
+        # checking annotates nothing: it returns the formula and builds no node
         f = Exists("X", SetOf(GG), Exists("x", G, Exists("y", G, Apply("X", ("x", "y")))))
-        checked = check_well_formed(f)
-        inner = checked.body.body.body
-        assert inner == Apply("X", ("x", "y"), GG)
-        # idempotent
-        assert check_well_formed(checked) is checked
+        gc.collect()
+        before = len(logic._NODES)
+        assert check_well_formed(f) is f
+        assert check_well_formed(f) is f
+        assert len(logic._NODES) == before
 
     def test_context_supplies_free_variables(self):
         f = Apply("X", ("x",))
         with pytest.raises(TypingError):
             check_well_formed(f)
-        got = check_well_formed(f, {"X": SetOf(G), "x": G})
-        assert got.elem == G
+        assert check_well_formed(f, {"X": SetOf(G), "x": G}) is f
 
     def test_prop_act_need_ground(self):
         with pytest.raises(TypingError):
@@ -120,15 +125,15 @@ class TestWellFormedness:
 
     def test_higher_order_apply_takes_whole_set(self):
         ctx = {"F": SetOf(SetOf(G)), "S": SetOf(G), "x": G}
-        assert check_well_formed(Apply("F", ("S",)), ctx).elem == SetOf(G)
+        f = Apply("F", ("S",))
+        assert check_well_formed(f, ctx) is f
         with pytest.raises(TypingError):
             check_well_formed(Apply("F", ("x",)), ctx)
 
     def test_pfp_rules(self):
         body = Apply("X", ("u", "v"))
         ok = Pfp("X", SetOf(GG), body, ("u", "v"))
-        checked = check_well_formed(ok, {"u": G, "v": G})
-        assert checked.body.elem == GG
+        assert check_well_formed(ok, {"u": G, "v": G}) is ok
         with pytest.raises(TypingError):
             check_well_formed(Pfp("X", GG, TT, ("u", "v")), {"u": G, "v": G})
         with pytest.raises(TypingError):
@@ -150,13 +155,16 @@ class TestWellFormedness:
         inner = Apply("S", ("x",))
         ground = Exists("S", SetOf(G), Exists("x", G, inner))
         lifted = Exists("S", SetOf(SetOf(G)), Exists("x", SetOf(G), inner))
-        checked = check_well_formed(and_(ground, lifted))
-        elems = {g.elem for g in logic._nodes(checked) if isinstance(g, Apply)}
-        assert elems == {G, SetOf(G)}
-        # the same node with x left unbound, in the same pass
+        both = and_(ground, lifted)
+        assert check_well_formed(both) is both
+        # the same node with x left unbound, or typed against S, in the
+        # same pass
         open_x = Exists("S", SetOf(G), inner)
         with pytest.raises(TypingError, match="unbound variable 'x'"):
             check_well_formed(conj([ground, lifted, open_x]))
+        mixed = Exists("S", SetOf(G), Exists("x", SetOf(G), inner))
+        with pytest.raises(TypingError, match="argument 'x' of 'S' has type set"):
+            check_well_formed(conj([ground, lifted, mixed]))
 
 
 class TestInterning:
@@ -174,9 +182,7 @@ class TestInterning:
 
     def test_same_fields_same_node(self):
         assert Tru() is TT
-        assert Apply("X", ("x",)) is Apply("X", ("x",), None)
         assert Apply("X", ("x",)) is Apply(head="X", args=("x",))
-        assert Apply("X", ("x",)) is not Apply("X", ("x",), G)
         a, b = Prop("p", "x"), Act("a", "x", "y")
         assert and_(a, b) is and_(a, b)
         assert and_(a, b) is not and_(b, a)
@@ -199,8 +205,8 @@ class TestInterning:
         f = Exists("X", SetOf(GG), forall("x", G, Exists("y", G, and_(
             Apply("X", ("x", "y")), Pfp("Z", SetOf(G), Or(Apply("Z", ("x",)), Prop("p", "x")), ("x",))))))
         once = check_well_formed(f)
+        assert once is f
         assert check_well_formed(once) is once
-        assert check_well_formed(f) is once
 
     def test_dropped_formula_leaves_the_table(self):
         gc.collect()
@@ -239,6 +245,27 @@ class TestMeasures:
         assert formula_size(TT) == 1
         assert formula_size(and_(TT, TT)) == 6
         assert formula_size(Exists("x", G, Prop("p", "x"))) == 2
+
+    def test_deep_formula_in_a_fresh_interpreter(self):
+        # checking and measuring walk without recursion, so a formula
+        # nested far deeper than the default limit of 1000 frames needs
+        # no raised limit
+        script = textwrap.dedent("""
+            import sys
+            from hopfp.logic import GROUND, Prop, check_well_formed, conj, formula_order, formula_size
+            f = conj([Prop("p", "x")] * 3000)
+            ctx = {"x": GROUND}
+            print(check_well_formed(f, ctx) is f, formula_size(f), formula_order(f, ctx))
+            print(sys.getrecursionlimit())
+        """)
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout == "True %d 1\n1000\n" % (1 + 5 * 2999)
 
     def test_measures_visit_each_shared_node_once(self):
         # a tree walk would take 2**65 steps; a stuck walk fails the test
