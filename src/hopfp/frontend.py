@@ -16,16 +16,25 @@ The printer emits only the core, one binder per exists, and nodes are
 interned (see logic), so parse_formula(format_formula(f)) is f; a text
 already in core shape prints back the same up to whitespace.
 
+A printed formula is a tree over a DAG of far fewer distinct nodes, and
+both directions do their Python-level work once per distinct form.  The
+printer builds each distinct node's text once, from its children's, in
+an iterative walk.  The reader interns the shape of every list in one
+pass over the tokens, keeps those shapes instead of the tokens, and
+converts each distinct shape once per context: as a formula, a type or
+a value.
+
 Systems and machines use a line format with "key: value" entries and
 ";" comments; see parse_lts and parse_tm.  Parse failures carry a
 source span with character offsets into the text and line and column
-numbers.  The s-expression reader keeps only token indices and works
-out the position of the one error it reports.
+numbers.  The s-expression reader keeps no positions and works out the
+position of the one error it reports by scanning the text again.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -46,6 +55,8 @@ from .logic import (
     SetOf,
     Tru,
     Type,
+    _children,
+    _nodes,
     allow_deep_recursion,
     conj,
     disj,
@@ -82,71 +93,117 @@ class ParseError(Exception):
 # parenthesis or an atom.  Only space, tab, CR and LF separate atoms.
 _TOKEN = re.compile(r";[^\n]*|([()]|[^ \t\r\n();]+)")
 
+# A form's key is the text of an atom or the shape id of a list, and a
+# form of the text is named by (index of its first token, key).
+_Key = Union[str, int]
+_At = tuple[int, _Key]
+
 
 class _Source:
-    """The one form of a text: its tokens and, for each "(", the index of
-    the ")" that closes it.  Every s-expression parser starts here.
+    """The one form of a text, read in one pass over its tokens.  Every
+    s-expression parser starts here.
 
-    A form is named by the index of its first token: an atom, or the "("
-    of a list.  No position is kept; error works out the one it reports.
+    Each list gets a shape id, interned from its items' keys, so two
+    lists have one id exactly when they are written alike, up to
+    whitespace and comments.  Only the shapes are kept, not the tokens:
+    the items of a list occurrence follow from its shape and the sizes
+    of its items' shapes.  No position is kept either; error works out
+    the one it reports.  The readers below convert each (context, key)
+    once per text and memoize the result here (see _formula).
     """
 
     def __init__(self, text: str, what: str) -> None:
         allow_deep_recursion()
         self.text = text
-        self.tokens = tokens = list(filter(None, _TOKEN.findall(text)))
-        self.closes: dict[int, int] = {}
+        self.shapes: list[tuple[_Key, ...]] = []  # shape id -> its items' keys
+        self.sizes: list[int] = []  # shape id -> its number of tokens
+        self.formulas: dict[_Key, Formula] = {}
+        self.types: dict[_Key, Type] = {}
+        self.values: dict[_Key, Value] = {}
+        tokens = list(filter(None, _TOKEN.findall(text)))
         if not tokens:
             raise ParseError("empty input, expected %s" % what)
+        root = tokens[0]
+        if root == ")":
+            raise self.error("unexpected closing parenthesis", (0, root))
+        if root == "(":
+            root = self._shapes(tokens)
         # the first form is matched in full before trailing input is checked
-        open_at: list[int] = []
-        for i, tok in enumerate(tokens):
-            if tok == "(":
-                open_at.append(i)
-                continue
-            if tok == ")":
-                if not open_at:
-                    raise self.error("unexpected closing parenthesis", i)
-                self.closes[open_at.pop()] = i
-            if not open_at:
-                if i + 1 < len(tokens):
-                    raise self.error("trailing input after %s" % what, i + 1)
-                return
-        raise self.error("unclosed parenthesis", open_at[-1])
+        end = self.size(root)
+        if end < len(tokens):
+            raise self.error("trailing input after %s" % what, (end, tokens[end]))
+        self.root: _At = (0, root)
 
-    def form(self, i: int) -> Union[str, list[int]]:
-        """The text of the atom at i, or the indices of the list's items."""
-        tok = self.tokens[i]
-        if tok != "(":
-            return tok
-        closes = self.closes
+    def _shapes(self, tokens: list[str]) -> int:
+        """Intern the shapes of the list that tokens start with and return its id."""
+        ids: dict[tuple[_Key, ...], int] = {}
+        shapes, sizes = self.shapes, self.sizes
+        items: list[_Key] = []  # the keys of the open list's items so far
+        outer: list[list[_Key]] = []  # those of the lists around it
+        rest = iter(tokens)
+        next(rest)
+        for tok in rest:
+            if tok == "(":
+                outer.append(items)
+                items = []
+            elif tok == ")":
+                key = tuple(items)
+                shape = ids.get(key)
+                if shape is None:
+                    shape = ids[key] = len(shapes)
+                    shapes.append(key)
+                    sizes.append(2 + sum(map(self.size, key)))
+                if not outer:
+                    return shape
+                items = outer.pop()
+                items.append(shape)
+            else:
+                items.append(tok)
+        # the innermost "(" left open: the last one that the tokens after
+        # it close no more often than they open
+        depth, i = 0, len(tokens)
+        while depth >= 0:
+            i -= 1
+            depth += (tokens[i] == ")") - (tokens[i] == "(")
+        raise self.error("unclosed parenthesis", (i, "("))
+
+    def size(self, key: _Key) -> int:
+        """The number of tokens of a form."""
+        return self.sizes[key] if type(key) is int else 1
+
+    def form(self, at: _At) -> Union[str, list[_At]]:
+        """The text of the atom at `at`, or the list's items."""
+        i, key = at
+        if type(key) is str:
+            return key
         items = []
-        j, end = i + 1, closes[i]
-        while j < end:
-            items.append(j)
-            j = closes.get(j, j) + 1
+        i += 1
+        for k in self.shapes[key]:
+            items.append((i, k))
+            i += self.size(k)
         return items
 
-    def error(self, message: str, i: int) -> ParseError:
-        """The error about the form at i, located by scanning the text again."""
+    def error(self, message: str, at: _At) -> ParseError:
+        """The error about the form at `at`, located by scanning the text again."""
         text = self.text
         bounds = [m.span(1) for m in _TOKEN.finditer(text) if m.group(1)]
-        start, end = bounds[i][0], bounds[self.closes.get(i, i)][1]
+        i = at[0]
+        start, end = bounds[i][0], bounds[i + self.size(at[1]) - 1][1]
         col = start - text.rfind("\n", 0, start)
         return ParseError(message, SourceSpan(start, end, text.count("\n", 0, start) + 1, col))
 
 
-def _head(src: _Source, i: int, items: list[int]) -> str:
+def _head(src: _Source, at: _At, items: list[_At]) -> str:
     head = src.form(items[0]) if items else None
     if not isinstance(head, str):
-        raise src.error("expected a keyword after (", i)
+        raise src.error("expected a keyword after (", at)
     return head
 
 
-def _name(src: _Source, i: int, what: str) -> str:
-    name = src.form(i)
+def _name(src: _Source, at: _At, what: str) -> str:
+    name = src.form(at)
     if not isinstance(name, str):
-        raise src.error("expected %s" % what, i)
+        raise src.error("expected %s" % what, at)
     return name
 
 
@@ -154,26 +211,35 @@ def _name(src: _Source, i: int, what: str) -> str:
 # types
 
 
-def _type(src: _Source, i: int) -> Type:
-    form = src.form(i)
+def _type(src: _Source, at: _At) -> Type:
+    """The type at `at`, memoized by key as _formula is."""
+    t = src.types.get(at[1])
+    if t is not None:
+        return t
+    form = src.form(at)
     if isinstance(form, str):
-        if form == "o":
-            return GROUND
-        raise src.error("unknown type %r" % form, i)
-    head = _head(src, i, form)
-    if head == "set":
-        if len(form) != 2:
-            raise src.error("set takes one element type", i)
-        return SetOf(_type(src, form[1]))
-    if head == "tuple":
-        if len(form) < 2:
-            raise src.error("tuple needs at least one part", i)
-        return Compound(tuple(_type(src, x) for x in form[1:]))
-    raise src.error("unknown type former %r" % head, i)
+        if form != "o":
+            raise src.error("unknown type %r" % form, at)
+        t = GROUND
+    else:
+        head = _head(src, at, form)
+        if head == "set":
+            if len(form) != 2:
+                raise src.error("set takes one element type", at)
+            t = SetOf(_type(src, form[1]))
+        elif head == "tuple":
+            if len(form) < 2:
+                raise src.error("tuple needs at least one part", at)
+            t = Compound(tuple(_type(src, x) for x in form[1:]))
+        else:
+            raise src.error("unknown type former %r" % head, at)
+    src.types[at[1]] = t
+    return t
 
 
 def parse_type(text: str) -> Type:
-    return _type(_Source(text, "a type"), 0)
+    src = _Source(text, "a type")
+    return _type(src, src.root)
 
 
 def format_type(t: Type) -> str:
@@ -190,91 +256,120 @@ def format_type(t: Type) -> str:
 # formulas
 
 
-def _binder_pair(src: _Source, i: int) -> tuple[str, Type]:
-    form = src.form(i)
+def _binder_pair(src: _Source, at: _At) -> tuple[str, Type]:
+    form = src.form(at)
     if isinstance(form, str) or len(form) != 2:
-        raise src.error("expected (VAR TYPE)", i)
+        raise src.error("expected (VAR TYPE)", at)
     return _name(src, form[0], "a variable"), _type(src, form[1])
 
 
-def _binder_group(src: _Source, i: int) -> list[tuple[str, Type]]:
-    form = src.form(i)
+def _binder_group(src: _Source, at: _At) -> list[tuple[str, Type]]:
+    form = src.form(at)
     if isinstance(form, str) or not form:
-        raise src.error("expected a nonempty binder list", i)
+        raise src.error("expected a nonempty binder list", at)
     return [_binder_pair(src, x) for x in form]
 
 
-def _formula(src: _Source, i: int) -> Formula:
-    form = src.form(i)
+def _formula(src: _Source, at: _At) -> Formula:
+    """The formula at `at`.  It is converted at the first occurrence of
+    its key only; later occurrences take the memoized result.  A form
+    that fails is not memoized, so a hit skips only a subform that read
+    cleanly, and the first error met in this pre-order walk, and where
+    it is, are those of a walk over the whole tree."""
+    f = src.formulas.get(at[1])
+    if f is not None:
+        return f
+    form = src.form(at)
     if isinstance(form, str):
         if form == "tt":
-            return TT
-        if form == "ff":
-            return Not(TT)
-        raise src.error("expected a formula, got %r" % form, i)
-    head = _head(src, i, form)
-    if head == "prop":
-        if len(form) != 3:
-            raise src.error("prop takes a name and a variable", i)
-        return Prop(_name(src, form[1], "a proposition name"), _name(src, form[2], "a variable"))
-    if head == "act":
-        if len(form) != 4:
-            raise src.error("act takes a name and two variables", i)
-        return Act(
-            _name(src, form[1], "an action name"),
-            _name(src, form[2], "a variable"),
-            _name(src, form[3], "a variable"),
-        )
-    if head == "app":
-        if len(form) < 3:
-            raise src.error("app takes a set variable and arguments", i)
-        return Apply(
-            _name(src, form[1], "a set variable"),
-            tuple(_name(src, x, "a variable") for x in form[2:]),
-        )
-    if head == "not":
-        if len(form) != 2:
-            raise src.error("not takes one formula", i)
-        return Not(_formula(src, form[1]))
-    if head == "or":
-        return disj([_formula(src, x) for x in form[1:]])
-    if head == "and":
-        return conj([_formula(src, x) for x in form[1:]])
-    if head == "imp":
-        if len(form) != 3:
-            raise src.error("imp takes two formulas", i)
-        return implies(_formula(src, form[1]), _formula(src, form[2]))
-    if head == "exists":
-        if len(form) != 3:
-            raise src.error("exists takes a binder list and a body", i)
-        return exists_all(_binder_group(src, form[1]), _formula(src, form[2]))
-    if head == "forall":
-        if len(form) != 3:
-            raise src.error("forall takes a binder list and a body", i)
-        return forall_all(_binder_group(src, form[1]), _formula(src, form[2]))
-    if head == "pfp":
-        if len(form) != 4:
-            raise src.error("pfp takes a binder, an argument list and a body", i)
-        var, vtype = _binder_pair(src, form[1])
-        arg_list = src.form(form[2])
-        if isinstance(arg_list, str):
-            raise src.error("expected an argument list", form[2])
-        args = tuple(_name(src, x, "a variable") for x in arg_list)
-        return Pfp(var, vtype, _formula(src, form[3]), args)
-    raise src.error("unknown connective %r" % head, i)
+            f = TT
+        elif form == "ff":
+            f = Not(TT)
+        else:
+            raise src.error("expected a formula, got %r" % form, at)
+    else:
+        head = _head(src, at, form)
+        if head == "prop":
+            if len(form) != 3:
+                raise src.error("prop takes a name and a variable", at)
+            f = Prop(_name(src, form[1], "a proposition name"), _name(src, form[2], "a variable"))
+        elif head == "act":
+            if len(form) != 4:
+                raise src.error("act takes a name and two variables", at)
+            f = Act(
+                _name(src, form[1], "an action name"),
+                _name(src, form[2], "a variable"),
+                _name(src, form[3], "a variable"),
+            )
+        elif head == "app":
+            if len(form) < 3:
+                raise src.error("app takes a set variable and arguments", at)
+            f = Apply(
+                _name(src, form[1], "a set variable"),
+                tuple(_name(src, x, "a variable") for x in form[2:]),
+            )
+        elif head == "not":
+            if len(form) != 2:
+                raise src.error("not takes one formula", at)
+            f = Not(_formula(src, form[1]))
+        elif head == "or":
+            f = disj([_formula(src, x) for x in form[1:]])
+        elif head == "and":
+            f = conj([_formula(src, x) for x in form[1:]])
+        elif head == "imp":
+            if len(form) != 3:
+                raise src.error("imp takes two formulas", at)
+            f = implies(_formula(src, form[1]), _formula(src, form[2]))
+        elif head == "exists":
+            if len(form) != 3:
+                raise src.error("exists takes a binder list and a body", at)
+            f = exists_all(_binder_group(src, form[1]), _formula(src, form[2]))
+        elif head == "forall":
+            if len(form) != 3:
+                raise src.error("forall takes a binder list and a body", at)
+            f = forall_all(_binder_group(src, form[1]), _formula(src, form[2]))
+        elif head == "pfp":
+            if len(form) != 4:
+                raise src.error("pfp takes a binder, an argument list and a body", at)
+            var, vtype = _binder_pair(src, form[1])
+            arg_list = src.form(form[2])
+            if isinstance(arg_list, str):
+                raise src.error("expected an argument list", form[2])
+            args = tuple(_name(src, x, "a variable") for x in arg_list)
+            f = Pfp(var, vtype, _formula(src, form[3]), args)
+        else:
+            raise src.error("unknown connective %r" % head, at)
+    src.formulas[at[1]] = f
+    return f
 
 
 def parse_formula(text: str) -> Formula:
-    return _formula(_Source(text, "a formula"), 0)
+    src = _Source(text, "a formula")
+    return _formula(src, src.root)
 
 
 def format_formula(f: Formula) -> str:
-    """Core-shape text; parse_formula(format_formula(f)) is f."""
-    allow_deep_recursion()
-    return _format(f)
+    """Core-shape text; parse_formula(format_formula(f)) is f.
+
+    Each distinct node's text is built once, after its children's and
+    from them, so the work is one string per distinct node rather than
+    per tree node; a text is dropped once its last parent is printed.
+    The walk is iterative and needs no raised recursion limit."""
+    nodes = _nodes(f)
+    parents = Counter(k for g in nodes for k in _children(g))
+    texts: dict = {}
+    for g in nodes:
+        kids = _children(g)
+        texts[g] = _format(g, [texts[k] for k in kids])
+        for k in kids:
+            parents[k] -= 1
+            if not parents[k]:
+                del texts[k]
+    return texts[f]
 
 
-def _format(f: Formula) -> str:
+def _format(f: Formula, parts: list[str]) -> str:
+    """The text of f, given the texts of its children."""
     if isinstance(f, Tru):
         return "tt"
     if isinstance(f, Prop):
@@ -284,18 +379,13 @@ def _format(f: Formula) -> str:
     if isinstance(f, Apply):
         return "(app %s %s)" % (f.head, " ".join(f.args))
     if isinstance(f, Not):
-        return "(not %s)" % _format(f.sub)
+        return "(not %s)" % parts[0]
     if isinstance(f, Or):
-        return "(or %s %s)" % (_format(f.left), _format(f.right))
+        return "(or %s %s)" % (parts[0], parts[1])
     if isinstance(f, Exists):
-        return "(exists ((%s %s)) %s)" % (f.var, format_type(f.vtype), _format(f.body))
+        return "(exists ((%s %s)) %s)" % (f.var, format_type(f.vtype), parts[0])
     if isinstance(f, Pfp):
-        return "(pfp (%s %s) (%s) %s)" % (
-            f.var,
-            format_type(f.vtype),
-            " ".join(f.args),
-            _format(f.body),
-        )
+        return "(pfp (%s %s) (%s) %s)" % (f.var, format_type(f.vtype), " ".join(f.args), parts[0])
     raise TypeError("not a formula: %r" % (f,))
 
 
@@ -303,26 +393,36 @@ def _format(f: Formula) -> str:
 # values
 
 
-def _value(src: _Source, i: int, lts: Lts) -> Value:
-    form = src.form(i)
+def _value(src: _Source, at: _At, lts: Lts) -> Value:
+    """The value at `at`, memoized by key as _formula is; lts is the
+    same for every form of a text."""
+    v = src.values.get(at[1])
+    if v is not None:
+        return v
+    form = src.form(at)
     if isinstance(form, str):
         try:
-            return State(lts.state_index(form))
+            v = State(lts.state_index(form))
         except ValueError:
-            raise src.error("unknown state %r" % form, i) from None
-    head = _head(src, i, form)
-    if head == "tuple":
-        if len(form) < 2:
-            raise src.error("tuple needs at least one item", i)
-        return Tup(tuple(_value(src, x, lts) for x in form[1:]))
-    if head == "set":
-        return make_set(_value(src, x, lts) for x in form[1:])
-    raise src.error("unknown value former %r" % head, i)
+            raise src.error("unknown state %r" % form, at) from None
+    else:
+        head = _head(src, at, form)
+        if head == "tuple":
+            if len(form) < 2:
+                raise src.error("tuple needs at least one item", at)
+            v = Tup(tuple(_value(src, x, lts) for x in form[1:]))
+        elif head == "set":
+            v = make_set(_value(src, x, lts) for x in form[1:])
+        else:
+            raise src.error("unknown value former %r" % head, at)
+    src.values[at[1]] = v
+    return v
 
 
 def parse_value(text: str, lts: Lts) -> Value:
     """Value literal: a state name, (tuple ...) or (set ...)."""
-    return _value(_Source(text, "a value"), 0, lts)
+    src = _Source(text, "a value")
+    return _value(src, src.root, lts)
 
 
 def infer_value_type(v: Value) -> Type:

@@ -1,13 +1,18 @@
 """Concrete syntax round trips and error reporting."""
 
 import gc
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import weakref
+from pathlib import Path
 
 import pytest
 
 from _gen import scoped_instance
-from _machines import M_ACC2, M_FIRST1
+from _machines import M_ACC2, M_FIRST1, M_LASTPROP
 from hopfp import frontend
 from hopfp.compiler import CodingContext, ReductionParams, build_machine_formula
 from hopfp.domains import SetV, State, Tup, make_set
@@ -38,11 +43,14 @@ from hopfp.logic import (
     Pfp,
     Prop,
     SetOf,
+    _nodes,
     and_,
+    formula_size,
     forall,
     implies,
 )
 from hopfp.lts import ordered_lts
+from hopfp.machine import encode_lts
 
 # (text, str of the ParseError, its span as (start, end, line, col) or None).
 # Offsets count characters, so the "é" before a fault and the "\r" of a
@@ -89,6 +97,18 @@ FORMULA_ERRORS = [
     ("(exists () tt)", "line 1, col 9: expected a nonempty binder list", (8, 10, 1, 9)),
     ("(exists (x o) tt)", "line 1, col 10: expected (VAR TYPE)", (9, 10, 1, 10)),
     ("(prop (p) x)", "line 1, col 7: expected a proposition name", (6, 9, 1, 7)),
+    # a form is converted once per text and context: a bad form written
+    # twice is reported where it first occurs, a form read as a binder
+    # pair or a type is read again in formula position, and a repeated
+    # good form hides no later error
+    ("(or (bogus x) tt\n  (bogus x))", "line 1, col 5: unknown connective 'bogus'", (4, 13, 1, 5)),
+    ("(or (exists ((x o)) tt) (x o))", "line 1, col 25: unknown connective 'x'", (24, 29, 1, 25)),
+    ("(or (exists ((x (set o))) tt) (set o))", "line 1, col 31: unknown connective 'set'", (30, 37, 1, 31)),
+    (
+        "(and (not (prop p x)) (or (not (prop p x)) (prop p)))",
+        "line 1, col 44: prop takes a name and a variable",
+        (43, 51, 1, 44),
+    ),
 ]
 
 TYPE_ERRORS = [
@@ -191,6 +211,50 @@ class TestFormulaParsing:
         text = "(not " * depth + "tt" + ")" * depth
         assert parse_formula(text) is built
         assert format_formula(built) == text
+
+    def test_printing_leaves_the_recursion_limit(self):
+        # the printer walks iteratively, so a formula nested far deeper
+        # than the default limit of 1000 frames prints without raising it
+        script = textwrap.dedent("""
+            import sys
+            from hopfp.frontend import format_formula
+            from hopfp.logic import TT, Not
+            f = TT
+            for _ in range(3000):
+                f = Not(f)
+            print(format_formula(f) == "(not " * 3000 + "tt" + ")" * 3000)
+            print(sys.getrecursionlimit())
+        """)
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout == "True\n1000\n"
+
+    def test_reading_converts_each_distinct_form_once(self, monkeypatch):
+        # the c07 and c08 texts are trees of 36,307 and 187,976 nodes over
+        # 922 and 1,750 distinct ones; reading one back constructs each
+        # distinct node once, through the constructor or sugar function
+        # of its form
+        host = ordered_lts(6, (), ("p",), labels={(5, "p")})
+        c07 = CodingContext(ordered_lts(2), M_ACC2, ReductionParams(2, 1)), "1" * 16
+        c08 = CodingContext(host, M_LASTPROP, ReductionParams(1, 1)), encode_lts(host)
+        formulas = [build_machine_formula(*case) for case in (c07, c08)]
+        texts = [format_formula(f) for f in formulas]
+        calls = []
+        for name in ("Prop", "Act", "Apply", "Not", "disj", "conj", "implies", "exists_all", "forall_all", "Pfp"):
+            def counted(*args, make=getattr(frontend, name)):
+                calls.append(make)
+                return make(*args)
+
+            monkeypatch.setattr(frontend, name, counted)
+        for built, text, sizes in zip(formulas, texts, [(922, 36307), (1750, 187976)]):
+            calls.clear()
+            assert parse_formula(text) is built
+            nodes = _nodes(built)
+            assert (len(nodes), formula_size(built)) == sizes
+            assert len(calls) == len(nodes) - (TT in nodes)
 
     def test_printer_reads_back(self):
         for seed in range(80):
