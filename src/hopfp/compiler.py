@@ -17,7 +17,7 @@ declaration order of the states.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional
 
 from .domains import (
@@ -108,12 +108,14 @@ class CodingContext:
 
     Machine state number i and tape symbol number j are coded by the
     individuals at positions i and j of the order, so the reserved order
-    must list the states in declaration order.
+    must list the states in declaration order.  passes holds the one
+    iter_index pass of each indexed slot the builders have asked for.
     """
 
     lts: Lts
     machine: TmSpec
     params: ReductionParams
+    passes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.lts.n
@@ -165,6 +167,17 @@ class CodingContext:
     @property
     def tuple_space(self) -> int:
         return self.n * self.cells * self.cells * self.n
+
+    def index(self, spec: TowerSpec, j: int, slot: tuple) -> Formula:
+        """build_index(spec, j, slot), read off the slot's one iter_index
+        pass, where each build_index call would restart it at j = 0."""
+        got = self.passes.get((spec, slot))
+        if got is None:
+            got = self.passes[spec, slot] = ([], iter_index(spec, slot))
+        done, rest = got
+        while len(done) <= j:
+            done.append(next(rest))
+        return done[j]
 
     def declarations(self) -> dict:
         """Typing context for the stage formula's free variables."""
@@ -270,38 +283,19 @@ def decode_configuration(ctx: CodingContext, v: Value) -> Configuration:
 # -- formula builders -------------------------------------------------------
 
 
-class _Indices:
-    """build_index for the builders of one formula.  All indices of one
-    slot come from a single iter_index pass, where each build_index call
-    would restart it at j = 0.  Made afresh for every build."""
-
-    def __init__(self) -> None:
-        self.passes: dict = {}
-
-    def __call__(self, spec: TowerSpec, j: int, slot: tuple) -> Formula:
-        got = self.passes.get((spec, slot))
-        if got is None:
-            got = self.passes[spec, slot] = ([], iter_index(spec, slot))
-        done, rest = got
-        while len(done) <= j:
-            done.append(next(rest))
-        return done[j]
-
-
-def _code_eq(ctx: CodingContext, index: _Indices, var: str, code: int) -> Formula:
+def _code_eq(ctx: CodingContext, var: str, code: int) -> Formula:
     """The ground variable holds the individual at the given order position."""
-    return index(ctx.code_spec, code, (var,))
+    return ctx.index(ctx.code_spec, code, (var,))
 
 
-def build_init(ctx: CodingContext, word: str, index: Optional[_Indices] = None) -> Formula:
+def build_init(ctx: CodingContext, word: str) -> Formula:
     """Constraint satisfied by exactly the members encoding the start.
 
     Free variables: the candidate member.  The head sits on cell zero in
     the starting state, cells under the input carry its letters, and a
     witness for the input's last cell forces blanks past it.  The index
     formulas of all these cells hang off one interned spine of
-    successor steps (see iter_index).  index is the table of index
-    formulas when the constraint is part of a larger build.
+    successor steps (see iter_index).
     """
     m, cells = ctx.machine, ctx.cells
     if len(word) > cells:
@@ -313,15 +307,14 @@ def build_init(ctx: CodingContext, word: str, index: Optional[_Indices] = None) 
             raise ValueError("input symbol %r not allowed" % ch)
     yq, hd, cell, ys = TUPLE_VARS
     pspec = ctx.pos_spec
-    index = index or _Indices()
     parts = [
-        index(pspec, 0, (hd,)),
-        _code_eq(ctx, index, yq, m.state_index(m.init)),
+        ctx.index(pspec, 0, (hd,)),
+        _code_eq(ctx, yq, m.state_index(m.init)),
     ]
     for j, ch in enumerate(word):
-        at = index(pspec, j, (cell,))
-        parts.append(implies(at, _code_eq(ctx, index, ys, m.symbol_index(ch))))
-    blank = _code_eq(ctx, index, ys, m.symbol_index(m.blank))
+        at = ctx.index(pspec, j, (cell,))
+        parts.append(implies(at, _code_eq(ctx, ys, m.symbol_index(ch))))
+    blank = _code_eq(ctx, ys, m.symbol_index(m.blank))
     if not word:
         parts.append(blank)
     else:
@@ -331,7 +324,7 @@ def build_init(ctx: CodingContext, word: str, index: Optional[_Indices] = None) 
                 pspec,
                 last,
                 and_(
-                    index(pspec, len(word) - 1, last),
+                    ctx.index(pspec, len(word) - 1, last),
                     implies(build_lt(pspec, last, (cell,)), blank),
                 ),
             )
@@ -339,7 +332,7 @@ def build_init(ctx: CodingContext, word: str, index: Optional[_Indices] = None) 
     return conj(parts)
 
 
-def build_trans(ctx: CodingContext, index: Optional[_Indices] = None) -> Formula:
+def build_trans(ctx: CodingContext) -> Formula:
     """One-step relation between configuration encodings.
 
     Free variables: the stage set and the candidate member.  A witness
@@ -349,11 +342,9 @@ def build_trans(ctx: CodingContext, index: Optional[_Indices] = None) -> Formula
     head and the written symbol.  Cells away from the old head keep
     their content.  Bound names are fixed, so a test that recurs, such
     as the old head against the candidate's cell, is one interned node
-    and shares one memo table during evaluation.  index is as for
-    build_init.
+    and shares one memo table during evaluation.
     """
     m = ctx.machine
-    index = index or _Indices()
     yq, hd, cell, ys = TUPLE_VARS
     xq, xh, xc, xs = WITNESS_VARS
     pspec = ctx.pos_spec
@@ -363,8 +354,8 @@ def build_trans(ctx: CodingContext, index: Optional[_Indices] = None) -> Formula
     step_left = Or(
         build_succ(pspec, (hd,), (xh,)),
         and_(
-            index(pspec, 0, (xh,)),
-            index(pspec, 0, (hd,)),
+            ctx.index(pspec, 0, (xh,)),
+            ctx.index(pspec, 0, (hd,)),
         ),
     )
     old_content = Exists(
@@ -379,15 +370,15 @@ def build_trans(ctx: CodingContext, index: Optional[_Indices] = None) -> Formula
     order = lambda kv: (m.state_index(kv[0][0]), m.symbol_index(kv[0][1]))
     for (q, sym), (q2, sym2, move) in sorted(m.delta.items(), key=order):
         matches = and_(
-            _code_eq(ctx, index, xq, m.state_index(q)),
-            _code_eq(ctx, index, xs, m.symbol_index(sym)),
+            _code_eq(ctx, xq, m.state_index(q)),
+            _code_eq(ctx, xs, m.symbol_index(sym)),
         )
         moved = step_left if move == LEFT else step_right if move == RIGHT else stay
         forced = conj(
             [
-                _code_eq(ctx, index, yq, m.state_index(q2)),
+                _code_eq(ctx, yq, m.state_index(q2)),
                 moved,
-                implies(at_head, _code_eq(ctx, index, ys, m.symbol_index(sym2))),
+                implies(at_head, _code_eq(ctx, ys, m.symbol_index(sym2))),
             ]
         )
         blocks.append(implies(matches, forced))
@@ -402,41 +393,34 @@ def build_trans(ctx: CodingContext, index: Optional[_Indices] = None) -> Formula
     return exists_all(list(zip(WITNESS_VARS, ctx.member_type.parts)), body)
 
 
-def build_stage_formula(ctx: CodingContext, word: str, index: Optional[_Indices] = None) -> Formula:
+def build_stage_formula(ctx: CodingContext, word: str) -> Formula:
     """The stage function: step the coded run, or start it from nothing.
 
     On an empty stage set only the start branch can hold, so the first
     stage is the initial configuration's encoding; afterwards the step
     branch reproduces the successor and halting configurations repeat
-    through their self loop rules, freezing the iteration.  index is as
-    for build_init.
+    through their self loop rules, freezing the iteration.
     """
-    index = index or _Indices()
     # built as a negated existential so evaluation probes one member
     probe = list(zip(WITNESS_VARS, ctx.member_type.parts))
     empty = Not(exists_all(probe, Apply(SET_VAR, WITNESS_VARS)))
-    return Or(build_trans(ctx, index), and_(empty, build_init(ctx, word, index)))
+    return Or(build_trans(ctx), and_(empty, build_init(ctx, word)))
 
 
-def build_stage_fixpoint(ctx: CodingContext, word: str, index: Optional[_Indices] = None) -> Pfp:
-    """The applied fixpoint binder over the stage function; index is as
-    for build_init."""
-    return Pfp(SET_VAR, ctx.set_type, build_stage_formula(ctx, word, index), TUPLE_VARS)
+def build_stage_fixpoint(ctx: CodingContext, word: str) -> Pfp:
+    """The applied fixpoint binder over the stage function."""
+    return Pfp(SET_VAR, ctx.set_type, build_stage_formula(ctx, word), TUPLE_VARS)
 
 
 def build_machine_formula(ctx: CodingContext, word: str) -> Formula:
-    """Closed formula true on the system iff the machine accepts the word.
-
-    Its builders share one table of index formulas, so every indexed slot
-    is walked by one iter_index pass."""
+    """Closed formula true on the system iff the machine accepts the word."""
     yq = TUPLE_VARS[0]
-    index = _Indices()
-    accept = _code_eq(ctx, index, yq, ctx.machine.state_index(ctx.machine.accept))
+    accept = _code_eq(ctx, yq, ctx.machine.state_index(ctx.machine.accept))
     return and_(
         build_total_order_axiom(),
         exists_all(
             list(zip(TUPLE_VARS, ctx.member_type.parts)),
-            and_(accept, build_stage_fixpoint(ctx, word, index)),
+            and_(accept, build_stage_fixpoint(ctx, word)),
         ),
     )
 

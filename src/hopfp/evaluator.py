@@ -162,7 +162,9 @@ class _Space:
     repeated once per value of the arguments before v.  scope holds the
     fixpoint variables bound around the space's subformulas, the
     binder's own included; run and step cache per-argument masks for
-    one run of the binder and for one stage of it.
+    one run of the binder and for one stage of it.  In a binder's space,
+    scalar is the scalar space under the same scope; in a scalar space
+    it is None.
     """
 
     def __init__(
@@ -179,15 +181,16 @@ class _Space:
         }
         self.run: dict = {}
         self.step: dict = {}
+        self.scalar = _Space(scope) if args else None
 
 
 class _Session:
     """One compiled formula's state: host tables, caches and counters.
 
-    The tables of compiled subterms (code) and of scalar spaces are
-    filled while a formula is compiled and emptied afterwards, so that
-    no closure stays reachable from the session and a dropped formula is
-    freed as soon as its last reference goes.
+    The table of compiled subterms (code) is filled while a formula is
+    compiled and emptied afterwards, so that no closure stays reachable
+    from the session and a dropped formula is freed as soon as its last
+    reference goes.
     """
 
     def __init__(
@@ -210,7 +213,6 @@ class _Session:
         # both in the keys of memo and limits
         self.tagged: dict = {}
         self.code: dict = {}
-        self.scalars: dict = {}
         self.tags = count()
         self.live = 0
         n = self.n
@@ -246,13 +248,6 @@ class _Session:
 
     # -- compilation ------------------------------------------------------
 
-    def scalar(self, scope: frozenset) -> _Space:
-        """The scalar space under the fixpoint variables of scope."""
-        space = self.scalars.get(scope)
-        if space is None:
-            space = self.scalars[scope] = _Space(scope)
-        return space
-
     def binder_space(self, f: Pfp, scope: frozenset) -> _Space:
         """The space of f's argument tuples, under scope and f's variable."""
         cards = tuple(map(self.card, applied_arg_types(f.vtype)))
@@ -268,10 +263,9 @@ class _Session:
         default the outermost scalar space; one frame per nesting level."""
         allow_deep_recursion()
         try:
-            return self.compile(f, space or self.scalar(_NO_NAMES), _NO_NAMES, types)
+            return self.compile(f, space or _Space(_NO_NAMES), _NO_NAMES, types)
         finally:
             self.code.clear()
-            self.scalars.clear()
 
     def compile(self, g: Formula, space: _Space, bound: frozenset, types: dict) -> Callable:
         """Closure from an environment to the bitset of space's tuples at
@@ -321,7 +315,7 @@ class _Session:
             argv = [v for v in space.args if v in g.free and v not in bound]
             if not argv:
                 # g reads none of the arguments: all tuples or none
-                clo = self.compile(g, self.scalar(space.scope), _NO_NAMES, types)
+                clo = self.compile(g, space.scalar, _NO_NAMES, types)
                 def const_cl(env: dict) -> int:
                     return full if clo(env) else 0
                 return const_cl
@@ -458,7 +452,7 @@ class _Session:
         the body: for one stage if g reads the stage, else for the run.
         """
         stats = self.stats
-        clo = self.compile(g, self.scalar(space.scope), _NO_NAMES, types)
+        clo = self.compile(g, space.scalar, _NO_NAMES, types)
         cache = space.step if space.var in g.free and space.var not in bound else space.run
         tag = next(self.tags)
         keyvars = tuple(sorted(g.free & bound))
@@ -618,8 +612,8 @@ class _Session:
         stored = 0
         try:
             prev = 0
-            seen = {prev: 0}
-            stages = [prev]
+            # the stages so far, in order
+            seen = {prev: None}
             while True:
                 stats.pfp_iterations += 1
                 env[var] = prev
@@ -628,12 +622,11 @@ class _Session:
                 size = nxt.bit_count()
                 self.grow(size)
                 stored += size
-                stages.append(nxt)
                 if nxt == prev:
-                    return _trace(f, stages, "stabilized", seen[prev], self.n), nxt
+                    return _trace(f, [*seen, nxt], "stabilized", len(seen) - 1, self.n), nxt
                 if nxt in seen:
-                    return _trace(f, stages, "no-fixpoint", None, self.n), 0
-                seen[nxt] = len(stages) - 1
+                    return _trace(f, [*seen, nxt], "no-fixpoint", None, self.n), 0
+                seen[nxt] = None
                 prev = nxt
         finally:
             space.run.clear()

@@ -18,6 +18,7 @@ from hopfp.compiler import (
     ReductionParams,
     build_init,
     build_machine_formula,
+    build_stage_fixpoint,
     build_trans,
     crossval,
     decode_configuration,
@@ -344,6 +345,14 @@ def test_each_indexed_slot_is_walked_once_per_build(monkeypatch):
         # head, cell, witness head and last input cell positions
         assert len(set(starts)) == 8
         assert len(starts) == len(set(starts))
+    # the passes live on the coding context, so later builds on it walk
+    # no slot again
+    starts.clear()
+    ctx = _ctx(M_PARITY, 5)
+    build_machine_formula(ctx, "1")
+    build_machine_formula(ctx, "1")
+    build_stage_fixpoint(ctx, "1")
+    assert len(starts) == len(set(starts)) == 8
 
 
 def test_unordered_system_falsifies_the_formula():
