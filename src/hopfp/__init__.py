@@ -15,8 +15,8 @@ from .compiler import (
     build_machine_formula,
     build_stage_fixpoint,
     crossval,
-    decode_configuration,
-    encode_configuration,
+    decode_stage,
+    encode_stage,
     minimal_system_size,
 )
 from .domains import (

@@ -20,17 +20,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional
 
-from .domains import (
-    DEFAULT_ENUM_BUDGET,
-    Domain,
-    SetV,
-    Value,
-    canonical_index,
-    domain_size,
-    index_to_value,
-    make_set,
-)
-from .evaluator import EvalStats, _iter_members, apply_stage, compile_formula
+from .domains import DEFAULT_ENUM_BUDGET, Domain, domain_size
+from .evaluator import EvalStats, compile_formula
 from .lts import Lts, order_ranks, ordered_lts
 from .logic import (
     GROUND,
@@ -263,23 +254,6 @@ def decode_stage(ctx: CodingContext, members: Iterable[int]) -> Configuration:
     return Configuration(m.states[min(states)], min(heads), tape[:end])
 
 
-def encode_configuration(ctx: CodingContext, cfg: Configuration) -> SetV:
-    """The set value standing for one machine configuration."""
-    member = Domain(ctx.member_type, ctx.n)
-    return make_set(index_to_value(member, i) for i in encode_stage(ctx, cfg))
-
-
-def decode_configuration(ctx: CodingContext, v: Value) -> Configuration:
-    """Inverse of encode_configuration.
-
-    Raises NotAnEncoding carrying the number of the violated coding
-    condition when the set encodes no configuration, and ConformanceError
-    when the value is not even of the configuration set type.
-    """
-    mask = canonical_index(Domain(ctx.set_type, ctx.n), v)
-    return decode_stage(ctx, _iter_members(mask))
-
-
 # -- formula builders -------------------------------------------------------
 
 
@@ -423,21 +397,6 @@ def build_machine_formula(ctx: CodingContext, word: str) -> Formula:
             and_(accept, build_stage_fixpoint(ctx, word)),
         ),
     )
-
-
-def stage_image(
-    ctx: CodingContext,
-    word: str,
-    members: frozenset,
-    budget: int = DEFAULT_ENUM_BUDGET,
-) -> frozenset:
-    """One application of the stage function to an arbitrary member set.
-
-    Exists so tests can probe the stage function off the iteration path,
-    in particular on sets that encode no configuration at all.  The image
-    is computed as a stage of the fixpoint's own iteration is.
-    """
-    return apply_stage(ctx.lts, build_stage_fixpoint(ctx, word), members, budget=budget)
 
 
 # -- cross validation -------------------------------------------------------

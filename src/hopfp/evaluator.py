@@ -248,22 +248,12 @@ class _Session:
 
     # -- compilation ------------------------------------------------------
 
-    def binder_space(self, f: Pfp, scope: frozenset) -> _Space:
-        """The space of f's argument tuples, under scope and f's variable."""
-        cards = tuple(map(self.card, applied_arg_types(f.vtype)))
-        size = prod(cards)
-        if size > self.budget:
-            raise BudgetError(
-                "fixpoint over a tuple space of size %d exceeds budget %d" % (size, self.budget)
-            )
-        return _Space(scope | {f.var}, f.var, f.args, cards)
-
-    def compile_root(self, f: Formula, types: dict, space: Optional[_Space] = None) -> Callable:
-        """Compile f, with the names in scope typed by types, in space, by
-        default the outermost scalar space; one frame per nesting level."""
+    def compile_root(self, f: Formula, types: dict) -> Callable:
+        """Compile f, with the names in scope typed by types, in the
+        outermost scalar space; one frame per nesting level."""
         allow_deep_recursion()
         try:
-            return self.compile(f, space or _Space(_NO_NAMES), _NO_NAMES, types)
+            return self.compile(f, _Space(_NO_NAMES), _NO_NAMES, types)
         finally:
             self.code.clear()
 
@@ -586,7 +576,14 @@ class _Session:
         got = self.code.get(ckey)
         if got is not None:
             return got
-        inner = self.binder_space(f, scope)
+        # the space of f's argument tuples, under scope and f's variable
+        cards = tuple(map(self.card, applied_arg_types(f.vtype)))
+        size = prod(cards)
+        if size > self.budget:
+            raise BudgetError(
+                "fixpoint over a tuple space of size %d exceeds budget %d" % (size, self.budget)
+            )
+        inner = _Space(scope | {f.var}, f.var, f.args, cards)
         body = self.compile(f.body, inner, _NO_NAMES, {**types, f.var: f.vtype})
         residual = tuple(sorted(f.free - set(f.args)))
         tag = self.tagged.setdefault((f, typing), len(self.tagged))
@@ -772,23 +769,6 @@ def evaluate(
     return compile_formula(lts, f, ctx, budget, stats, live_budget)(env)
 
 
-def _binder_scope(
-    lts: Lts, f: Pfp, env: Optional[Environment], ctx: Optional[TypingContext]
-) -> tuple[dict, dict]:
-    """Declarations and bindings for a fixpoint binder evaluated on its
-    own, with the arguments declared and bound if they are not."""
-    if not isinstance(f, Pfp):
-        raise TypeError("not a fixpoint binder: %r" % (f,))
-    declared = dict(ctx) if ctx else {}
-    bound = dict(env) if env else {}
-    if isinstance(f.vtype, SetOf):
-        for v, t in zip(f.args, applied_arg_types(f.vtype)):
-            declared.setdefault(v, t)
-            # any value serves: the stage function ranges over all of them
-            bound.setdefault(v, index_to_value(Domain(declared[v], lts.n), 0))
-    return declared, bound
-
-
 def pfp_iterate(
     lts: Lts,
     f: Pfp,
@@ -807,36 +787,16 @@ def pfp_iterate(
     free variables of the body must be declared and bound as for
     evaluate.
     """
-    declared, bound = _binder_scope(lts, f, env, ctx)
+    if not isinstance(f, Pfp):
+        raise TypeError("not a fixpoint binder: %r" % (f,))
+    declared = dict(ctx) if ctx else {}
+    bound = dict(env) if env else {}
+    if isinstance(f.vtype, SetOf):
+        for v, t in zip(f.args, applied_arg_types(f.vtype)):
+            declared.setdefault(v, t)
+            # any value serves: the stage function ranges over all of them
+            bound.setdefault(v, index_to_value(Domain(declared[v], lts.n), 0))
     compiled = compile_formula(lts, f, declared, budget, stats, live_budget)
     compiled(bound)
     return compiled.traces[-1]
 
-
-def apply_stage(
-    lts: Lts,
-    f: Pfp,
-    members: frozenset,
-    env: Optional[Environment] = None,
-    ctx: Optional[TypingContext] = None,
-    budget: int = DEFAULT_ENUM_BUDGET,
-) -> frozenset:
-    """One application of the binder's stage function to any member set.
-
-    members are canonical indices into the element domain, as in the
-    stages of a PfpTrace; the body is compiled in the binder's space and
-    the image computed a set at a time, as a stage of an iteration is.
-    Declarations and bindings are as for pfp_iterate.  Raises
-    ConformanceError on a member index outside the element domain.
-    """
-    declared, bound = _binder_scope(lts, f, env, ctx)
-    check_well_formed(f, declared)
-    session = _Session(lts, budget, EvalStats())
-    size = session.card(f.vtype.elem)
-    if any(not 0 <= m < size for m in members):
-        raise ConformanceError("member indices must lie in [0, %d): %r" % (size, members))
-    space = session.binder_space(f, _NO_NAMES)
-    image = session.compile_root(f.body, {**declared, f.var: f.vtype}, space)
-    ienv = _index_env(lts.n, declared, tuple(sorted(f.free)), bound)
-    ienv[f.var] = sum(1 << m for m in set(members))
-    return frozenset(_iter_members(image(ienv)))

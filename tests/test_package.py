@@ -5,6 +5,9 @@ import sys
 from pathlib import Path
 
 import hopfp
+from hopfp import format_tm
+
+from _machines import M_FIRST1
 
 
 def test_imports_only_the_standard_library():
@@ -24,3 +27,23 @@ def test_imports_only_the_standard_library():
                 continue
             outside += [(path.name, name) for name in names if name.split(".")[0] not in allowed]
     assert outside == []
+
+
+def test_readme_library_example_runs_as_printed(tmp_path, monkeypatch):
+    # each expression statement of the README's Library example gives the
+    # result its comment states
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    code = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "first1.tm").write_text(format_tm(M_FIRST1))
+    monkeypatch.chdir(tmp_path)
+    lines = code.splitlines()
+    namespace: dict = {}
+    shown = []
+    for stmt in ast.parse(code).body:
+        source = ast.get_source_segment(code, stmt)
+        if isinstance(stmt, ast.Expr):
+            comment = lines[stmt.end_lineno - 1].rsplit("# ", 1)[1].strip()
+            shown.append((repr(eval(source, namespace)), comment))
+        else:
+            exec(source, namespace)
+    assert shown == [("True", "True"), ("(True, True)", "(True, True)")]
