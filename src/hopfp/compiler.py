@@ -170,17 +170,6 @@ class CodingContext:
             done.append(next(rest))
         return done[j]
 
-    def declarations(self) -> dict:
-        """Typing context for the stage formula's free variables."""
-        yq, hd, cell, ys = TUPLE_VARS
-        return {
-            SET_VAR: self.set_type,
-            yq: GROUND,
-            hd: self.pos_type,
-            cell: self.pos_type,
-            ys: GROUND,
-        }
-
 
 # -- configuration coding ---------------------------------------------------
 

@@ -27,26 +27,27 @@ so each stage is computed as one bitset: negation and disjunction act on
 whole bitsets, the binder's variable applied to its own arguments is the
 stage itself, and a subformula that reads a single argument is evaluated
 in the scalar space once per value of it and spread over the tuples that
-share it.  Small stable subformulas of the scalar space are memoized.
+share it.  Small stable subformulas of the scalar space are memoized,
+each in its own table, made while it is compiled and kept without bound.
 
 The same walk type checks the formula.  It carries the types of the
 names in scope and applies the typing rule of each atom, guard and
 fixpoint (logic.check_node) where it compiles one; a node that occurs
 under two typings is compiled, memoized and iterated apart under each.
 
-Each fixpoint is iterated once per surrounding environment.  The session
-keeps the stage trace of that run, as sets of member indices, beside the
-limit as a bitset.  It serves the limit from there to every outer
-quantifier binding, as a bit test, and to a block the fixpoint guards,
-as the members to walk, and hands the traces out afterwards (see
-CompiledFormula.traces).  All of this is invisible in the results: the
-semantics is exactly the structural one.
+Each fixpoint is iterated once per surrounding environment.  Its own
+table keeps the limit of that run as a bitset, and serves it from there
+to every outer quantifier binding, as a bit test, and to a block the
+fixpoint guards, as the members to walk.  The session keeps the stage
+trace of the run, as sets of member indices, and hands the traces out
+afterwards (see CompiledFormula.traces).  All of this is invisible in the
+results: the semantics is exactly the structural one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, product
+from itertools import product
 from math import prod
 from operator import itemgetter
 from typing import Callable, Mapping, Optional
@@ -56,12 +57,10 @@ from .domains import (
     BudgetError,
     ConformanceError,
     Domain,
-    SetV,
     Value,
     canonical_index,
     domain_size,
     index_to_value,
-    make_set,
 )
 from .logic import (
     Act,
@@ -93,12 +92,6 @@ _NO_NAMES: frozenset = frozenset()
 
 # results of subformulas over at most this many free variables are memoized
 _MEMO_MAX_VARS = 2
-
-# memo stores stop growing past this many entries so long reuse of one
-# compiled formula cannot hold the whole query history in memory; large
-# machine encodings legitimately warm a few million entries, so the cap
-# sits well above that
-_MEMO_CAP = 1 << 22
 
 
 @dataclass
@@ -146,10 +139,6 @@ class PfpTrace:
             return self.stages[self.stabilized_at]
         return frozenset()
 
-    def stage_value(self, i: int) -> SetV:
-        d = Domain(self.elem_type, self.n)
-        return make_set(index_to_value(d, m) for m in self.stages[i])
-
 
 class _Space:
     """The argument tuples a subformula is compiled over.
@@ -187,7 +176,11 @@ class _Space:
 class _Session:
     """One compiled formula's state: host tables, caches and counters.
 
-    The table of compiled subterms (code) is filled while a formula is
+    tables holds one dict per memoized node and per fixpoint, under each
+    typing of its free variables, which the node's closures capture: a
+    memo maps the values of the node's free variables to its result, a
+    fixpoint's table those beyond its arguments to its limit mask.  The
+    table of compiled subterms (code) is filled while a formula is
     compiled and emptied afterwards, so that no closure stays reachable
     from the session and a dropped formula is freed as soon as its last
     reference goes.
@@ -204,16 +197,11 @@ class _Session:
         self.budget = budget
         self.live_budget = float("inf") if live_budget is None else live_budget
         self.stats = stats
-        self.memo: dict = {}
-        # PfpTrace and limit bit mask of each fixpoint run, keyed by binder
-        # and environment
-        self.limits: dict = {}
+        self.tables: dict = {}
+        # in the order the runs ended
+        self.traces: list = []
         self.cards: dict = {}
-        # one int per node and typing of its free variables, standing for
-        # both in the keys of memo and limits
-        self.tagged: dict = {}
         self.code: dict = {}
-        self.tags = count()
         self.live = 0
         n = self.n
         self.adj = {a: 0 for a in lts.actions}
@@ -281,17 +269,15 @@ class _Session:
             and not (fv & space.scope)
         ):
             names = tuple(sorted(fv))
-            memo = self.memo
+            # shared by the node's closures in the scalar spaces of all scopes
+            memo = self.tables.setdefault((g, typing), {})
             inner = clo
-            tag = self.tagged.setdefault((g, typing), len(self.tagged))
             def memoized(env: dict) -> int:
                 # a list builds faster than a generator, on the hottest line
-                key = (tag,) + tuple([env[v] for v in names])
+                key = tuple([env[v] for v in names])
                 hit = memo.get(key)
                 if hit is None:
-                    hit = inner(env)
-                    if len(memo) < _MEMO_CAP:
-                        memo[key] = hit
+                    hit = memo[key] = inner(env)
                 return hit
             clo = memoized
         self.code[ckey] = clo
@@ -444,7 +430,7 @@ class _Session:
         stats = self.stats
         clo = self.compile(g, space.scalar, _NO_NAMES, types)
         cache = space.step if space.var in g.free and space.var not in bound else space.run
-        tag = next(self.tags)
+        tag = object()
         keyvars = tuple(sorted(g.free & bound))
         last = argv[-1]
         card, stride, unit, rep = space.axes[last]
@@ -569,7 +555,7 @@ class _Session:
         f, whose typing rule holds, is compiled once per scope and typing
         of its free variables, whether it serves as an atom or as the
         guard of a block.  It runs once per binding of its free variables
-        beyond its arguments; limits keeps the run's trace and limit.
+        beyond its arguments, whose values key the limit in f's table.
         """
         typing = tuple(map(types.get, f.free))
         ckey = (f, scope, typing)
@@ -586,22 +572,21 @@ class _Session:
         inner = _Space(scope | {f.var}, f.var, f.args, cards)
         body = self.compile(f.body, inner, _NO_NAMES, {**types, f.var: f.vtype})
         residual = tuple(sorted(f.free - set(f.args)))
-        tag = self.tagged.setdefault((f, typing), len(self.tagged))
-        limits = self.limits
+        limits = self.tables.setdefault((f, typing), {})
         sess = self
         def limit_cl(env: dict) -> int:
-            key = (tag,) + tuple([env[v] for v in residual])
-            run = limits.get(key)
-            if run is None:
-                run = limits[key] = sess.run_pfp(f, inner, body, env)
-                sess.grow(run[1].bit_count())
-            return run[1]
+            key = tuple([env[v] for v in residual])
+            limit = limits.get(key)
+            if limit is None:
+                limit = limits[key] = sess.run_pfp(f, inner, body, env)
+                sess.grow(limit.bit_count())
+            return limit
         self.code[ckey] = limit_cl
         return limit_cl
 
-    def run_pfp(self, f: Pfp, space: _Space, body: Callable, env: dict) -> tuple:
+    def run_pfp(self, f: Pfp, space: _Space, body: Callable, env: dict) -> int:
         """Iterate f's body, compiled in space, from the empty set to a
-        repeat; the trace of the run and the bit mask of its limit."""
+        repeat; the bit mask of its limit.  The run's trace joins traces."""
         stats = self.stats
         var = f.var
         saved = {v: env.get(v, _MISSING) for v in f.args + (var,)}
@@ -620,9 +605,11 @@ class _Session:
                 self.grow(size)
                 stored += size
                 if nxt == prev:
-                    return _trace(f, [*seen, nxt], "stabilized", len(seen) - 1, self.n), nxt
+                    self.traces.append(_trace(f, [*seen, nxt], "stabilized", len(seen) - 1, self.n))
+                    return nxt
                 if nxt in seen:
-                    return _trace(f, [*seen, nxt], "no-fixpoint", None, self.n), 0
+                    self.traces.append(_trace(f, [*seen, nxt], "no-fixpoint", None, self.n))
+                    return 0
                 seen[nxt] = None
                 prev = nxt
         finally:
@@ -669,10 +656,10 @@ def _iter_members(x: int):
 class CompiledFormula:
     """A formula compiled once against a system and queried many times.
 
-    Memo tables and fixpoint traces persist between calls, so sweeping a
-    family of environments over the same formula costs a dictionary
-    lookup per subformula instead of a recompilation per query.  Use
-    compile_formula to construct one.
+    Memo tables, fixpoint limits and traces persist between calls, and
+    grow without bound, so sweeping a family of environments over the same
+    formula costs a dictionary lookup per subformula instead of a
+    recompilation per query.  Use compile_formula to construct one.
     """
 
     def __init__(self, session: _Session, f: Formula, declared: dict) -> None:
@@ -693,7 +680,7 @@ class CompiledFormula:
         A fixpoint runs once per binding of its body's other free
         variables; a run that needs an inner fixpoint ends after it.
         """
-        return tuple(trace for trace, _ in self._session.limits.values())
+        return tuple(self._session.traces)
 
     def __call__(self, env: Optional[Environment] = None) -> bool:
         session = self._session

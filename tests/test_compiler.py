@@ -239,8 +239,9 @@ def test_stage_function_follows_the_run():
 
 def test_step_branch_needs_a_nonempty_stage():
     ctx = _ctx(M_FIRST1, 3)
-    compiled = compile_formula(ctx.lts, build_trans(ctx), ctx.declarations())
     yq, hd, cell, ys = TUPLE_VARS
+    declared = {SET_VAR: ctx.set_type, yq: GROUND, hd: ctx.pos_type, cell: ctx.pos_type, ys: GROUND}
+    compiled = compile_formula(ctx.lts, build_trans(ctx), declared)
     zero = index_to_value(Domain(ctx.pos_type, ctx.n), 0)
     env = {SET_VAR: make_set(()), yq: State(0), hd: zero, cell: zero, ys: State(1)}
     assert compiled(env) is False

@@ -27,7 +27,6 @@ from hopfp.domains import (
     BudgetError,
     ConformanceError,
     Domain,
-    SetV,
     State,
     index_to_value,
     iter_domain,
@@ -244,7 +243,7 @@ class TestPinnedCounters:
         assert answers.count(True) == 120
         stats = compiled.stats
         assert (stats.subformula_evals, stats.pfp_iterations, stats.peak_live_values) == (2888, 0, 10)
-        assert len(compiled._session.memo) == 400
+        assert sum(map(len, compiled._session.tables.values())) == 400
 
 
 class TestPfp:
@@ -266,11 +265,31 @@ class TestPfp:
         assert tr.limit() == frozenset()
         assert not evaluate(T, Exists("x", G, pf))
 
-    def test_stage_value_decodes(self):
+    def test_inner_runs_end_before_the_run_they_serve(self):
+        # the inner fixpoint reads y, bound in the outer body, and w, which
+        # the outer one reads too: one formula queried at each w runs the
+        # outer fixpoint once and the inner one once per y it is asked at
         T = lab_lts()
-        pf = Pfp("X", SetOf(G), Prop("p", "x"), ("x",))
-        tr = pfp_iterate(T, pf)
-        assert tr.stage_value(tr.stabilized_at) == SetV((State(2),))
+        reach = Exists("v", G, and_(Apply("Y", ("v",)), Act("a", "v", "x")))
+        inner = Pfp("Y", SetOf(G), Or(Act("a", "y", "x"), Or(Act("<", "w", "x"), reach)), ("x",))
+        step = Exists("y", G, and_(Apply("X", ("y",)), inner))
+        outer = Pfp("X", SetOf(G), Or(Act("a", "w", "x"), step), ("x",))
+        scope = {"x": G, "y": G, "w": G}
+        compiled = compile_formula(T, outer, {"x": G, "w": G})
+        ended = 0
+        for w in range(T.n):
+            env = {"w": State(w)}
+            compiled({"x": State(0), **env})
+            runs = compiled.traces[ended:]
+            ended += len(runs)
+            served = [ref_pfp_limit(T, inner, {"y": State(y), **env}, scope)[1] for y in range(T.n)]
+            want = ref_pfp_limit(T, outer, env, scope)[1]
+            assert want not in served
+            assert _stage_values(T, outer, runs[-1].stages) == want
+            got = [_stage_values(T, inner, tr.stages) for tr in runs[:-1]]
+            assert got and all(stages in served for stages in got), (w, got)
+            assert pfp_iterate(T, outer, env, {"w": G}) == runs[-1]
+        assert ended > 2 * T.n
 
     def test_reachability_equals_bfs(self):
         # x reachable from the least state along action a
@@ -409,9 +428,14 @@ def _assert_pfp_trace_matches_reference(T, pf: Pfp, scope: dict, env: dict) -> N
     ref_limit, ref_stages = ref_pfp_limit(T, pf, env, scope)
     ctx = {v: t for v, t in scope.items() if v not in pf.args}
     tr = pfp_iterate(T, pf, env=env, ctx=ctx)
-    assert [tr.stage_value(i) for i in range(len(tr.stages))] == ref_stages
+    assert _stage_values(T, pf, tr.stages) == ref_stages
+    assert _stage_values(T, pf, [tr.limit()]) == [ref_limit]
+
+
+def _stage_values(T, pf: Pfp, stages) -> list:
+    """Sets of member indices as sets of values of pf's element type."""
     elem = Domain(pf.vtype.elem, T.n)
-    assert make_set([index_to_value(elem, i) for i in tr.limit()]) == ref_limit
+    return [make_set([index_to_value(elem, i) for i in s]) for s in stages]
 
 
 @given(seed=st.integers(0, 2**32 - 1))

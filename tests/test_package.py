@@ -1,11 +1,13 @@
 """Properties of the package as a whole."""
 
 import ast
+import shlex
 import sys
 from pathlib import Path
 
 import hopfp
 from hopfp import format_tm
+from hopfp.cli import run_cli
 
 from _machines import M_FIRST1
 
@@ -47,3 +49,21 @@ def test_readme_library_example_runs_as_printed(tmp_path, monkeypatch):
         else:
             exec(source, namespace)
     assert shown == [("True", "True"), ("(True, True)", "(True, True)")]
+
+
+def test_readme_cli_examples_print_as_shown(tmp_path, monkeypatch, capsys):
+    # every command of the README's sh blocks that a "# " line follows
+    # prints that line's text
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = [block.split("```")[0] for block in readme.split("```sh\n")[1:]]
+    lines = [line for block in blocks for line in block.splitlines()]
+    (tmp_path / "first1.tm").write_text(format_tm(M_FIRST1))
+    monkeypatch.chdir(tmp_path)
+    shown = []
+    for command, comment in zip(lines, lines[1:]):
+        if comment.startswith("# "):
+            program, *argv = shlex.split(command)
+            assert program == "hopfp"
+            run_cli(argv)
+            shown.append((capsys.readouterr().out, comment[2:] + "\n"))
+    assert shown == [("8\n", "8\n"), ("agree: accept\n", "agree: accept\n")]
