@@ -426,15 +426,20 @@ def parse_value(text: str, lts: Lts) -> Value:
 
 
 def infer_value_type(v: Value) -> Type:
-    """Shape of a literal; empty sets have no inferable element type."""
+    """Shape of a literal.  A set's element type is that of its first
+    member whose type can be inferred: the empty set, which sorts first,
+    has none.  Raises ParseError when no member's type can be."""
     if isinstance(v, State):
         return GROUND
     if isinstance(v, Tup):
         return Compound(tuple(infer_value_type(x) for x in v.items))
     if isinstance(v, SetV):
-        if not v.members:
-            raise ParseError("cannot infer the element type of an empty set")
-        return SetOf(infer_value_type(v.members[0]))
+        for member in v.members:
+            try:
+                return SetOf(infer_value_type(member))
+            except ParseError:
+                pass
+        raise ParseError("cannot infer the element type of an empty set")
     raise TypeError("not a value: %r" % (v,))
 
 

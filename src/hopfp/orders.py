@@ -9,6 +9,16 @@ successor relation and "this is the j-th value" stay expressible with
 formulas whose size does not depend on the domain, only on the level,
 the width and j.
 
+From level 2 on the builders use the sets' own structure where they
+can: equality is mutual inclusion, the successor is a binary increment
+(the least element missing from a is added, and every element below it
+dropped), and the least value is the empty set.  Each quantifies over
+the level below, mostly through a guarded block that walks one set's
+members, where a comparison through build_lt sweeps the whole level.
+These definitions agree with build_lt's order on every system whose
+"<" is a strict total order, the only systems the builders are meant
+for; equality and the least value do not read "<" at all.
+
 A level-1 value occupies width many ground variables; from level 2 on a
 value is a single set-typed variable.  Builders therefore work with
 slots, tuples of variable names, and name their own bound variables by
@@ -16,6 +26,10 @@ role and level alone, in a shape NameSupply.fresh never produces, so
 equal requests build the same interned formula.  A builder's body
 mentions only its slots and its own bound names, so raising ValueError
 on a slot that uses one of those names keeps every build capture free.
+A builder reserves the same role names whatever its shape, also where
+that shape binds fewer of them: from level 2 on, z and w one level down
+for every builder; v at its own level for build_succ; y and u at its
+level for iter_index, whose steps are build_succ's.
 """
 
 from __future__ import annotations
@@ -155,31 +169,56 @@ def build_lt(spec: TowerSpec, a: Slot, b: Slot, supply: Optional[NameSupply] = N
 
 
 def build_eq(spec: TowerSpec, a: Slot, b: Slot) -> Formula:
-    return and_(Not(build_lt(spec, a, b)), Not(build_lt(spec, b, a)))
+    """a and b are the same value of the level.
+
+    At level 1 neither comes before the other.  From level 2 on each set
+    includes the other: no z is in one of them but not in the other.
+    That reads no order, and each existential walks the members of one
+    set only (a guarded block).
+    """
+    if spec.level == 1:
+        return and_(Not(build_lt(spec, a, b)), Not(build_lt(spec, b, a)))
+    down = spec.down()
+    z = _bound_slot(down, "z", a, b)
+    _bound_slot(down, "w", a, b)  # reserved, see the module docstring
+    only_in = lambda u, v: quantify_exists(down, z, and_(Apply(u, z), Not(Apply(v, z))))
+    return and_(Not(only_in(a[0], b[0])), Not(only_in(b[0], a[0])))
 
 
 def build_succ(spec: TowerSpec, a: Slot, b: Slot) -> Formula:
-    """b is the immediate successor of a: a < b with nothing in between."""
+    """b is the immediate successor of a.
+
+    At level 1, a < b and nothing lies strictly between them.  From
+    level 2 on, b is a plus one as a binary number: some z in b but not
+    in a has every element below it in a and not in b, and above it a
+    and b agree.  The existential walks the members of b only (a
+    guarded block), and its two universals sweep the level below.
+    """
+    # bound at level 1 only, reserved at every level
     v = _bound_slot(spec, "v", a, b)
-    gap_free = quantify_forall(
-        spec,
-        v,
-        implies(
-            build_lt(spec, v, b),
-            Or(build_eq(spec, v, a), build_lt(spec, v, a)),
-        ),
+    if spec.level == 1:
+        between = quantify_exists(spec, v, and_(build_lt(spec, a, v), build_lt(spec, v, b)))
+        return and_(build_lt(spec, a, b), Not(between))
+    down = spec.down()
+    z = _bound_slot(down, "z", a, b)
+    w = _bound_slot(down, "w", a, b)
+    in_a, in_b = Apply(a[0], w), Apply(b[0], w)
+    carried = implies(build_lt(down, w, z), and_(in_a, Not(in_b)))
+    kept = implies(build_lt(down, z, w), Or(and_(in_a, in_b), and_(Not(in_a), Not(in_b))))
+    flipped = [Apply(b[0], z), Not(Apply(a[0], z))]
+    return quantify_exists(
+        down, z, conj(flipped + [quantify_forall(down, w, carried), quantify_forall(down, w, kept)])
     )
-    return and_(build_lt(spec, a, b), gap_free)
 
 
 def build_index(spec: TowerSpec, j: int, names: Slot) -> Formula:
     """The slot holds the j-th value of the level in canonical order.
 
-    Size grows linearly with j: the zero case says nothing is smaller,
-    and each step asserts a successor of a witness for j - 1.  Each call
-    walks iter_index from j = 0, so it costs O(j); a caller that needs
-    several indices of one slot should take them from one iter_index
-    pass instead.
+    Size grows linearly with j: the zero case says the value is the
+    least one (see iter_index), and each step asserts a successor of a
+    witness for j - 1.  Each call walks iter_index from j = 0, so it
+    costs O(j); a caller that needs several indices of one slot should
+    take them from one iter_index pass instead.
     """
     if j < 0:
         raise ValueError("index must not be negative")
@@ -189,14 +228,23 @@ def build_index(spec: TowerSpec, j: int, names: Slot) -> Formula:
 def iter_index(spec: TowerSpec, names: Slot) -> Iterator[Formula]:
     """build_index of the slot for j = 0, 1, 2, ... in turn.
 
-    The witness for j - 1 is named by the parity of j, so the formula
+    Index 0 says, at level 1, that nothing lies below the slot and, from
+    level 2 on, that the slot has no member: the least set is the empty
+    one, and a guarded block tests that without reading the order.  The
+    witness for j - 1 is named by the parity of j, so the formula
     for j - 1 at that name, the spine, is one node for every slot, and
     its successor steps alternate between just two nodes.  That matters
     to the evaluator, which keeps a memo table per distinct successor
     node.  The spine is extended by one step per formula, never rebuilt.
     """
     pair = y, u = (_bound_slot(spec, "y", names), _bound_slot(spec, "u", names))
-    least = lambda slot: quantify_forall(spec, y, Or(build_lt(spec, slot, y), build_eq(spec, slot, y)))
+    if spec.level == 1:
+        least = lambda slot: Not(quantify_exists(spec, y, build_lt(spec, y, slot)))
+    else:
+        down = spec.down()
+        z = _bound_slot(down, "z", names)
+        _bound_slot(down, "w", names)  # reserved, see the module docstring
+        least = lambda slot: Not(quantify_exists(down, z, Apply(slot[0], z)))
     yield least(names)
     steps = (build_succ(spec, y, u), build_succ(spec, u, y))
     last = (build_succ(spec, y, names), build_succ(spec, u, names))

@@ -104,6 +104,17 @@ def test_eval_set_environment_binding(files, lts_file):
     assert run_cli(args + ["--env", "X=(set s0 s1)", "--env", "x=s2"]) == 1
 
 
+def test_eval_binds_a_set_of_sets_holding_the_empty_set(files, lts_file, capsys):
+    # the empty set sorts first, so the element type comes from a later member
+    f = files("has_empty.hof", "(exists ((Y (set o))) (and (app X Y) (not (exists ((y o)) (app Y y)))))")
+    args = ["eval", "--lts", lts_file, "--formula", f]
+    assert run_cli(args + ["--env", "X=(set (set) (set s0))"]) == 0
+    assert run_cli(args + ["--env", "X=(set (set s0) (set s1 s2))"]) == 1
+    # no member has an inferable type
+    assert run_cli(args + ["--env", "X=(set (set))"]) == 2
+    assert "cannot infer the element type of an empty set" in capsys.readouterr().err
+
+
 def test_eval_stats_record(files, lts_file, capsys):
     f = files("q.hof", "(exists ((x o)) (prop p x))")
     assert run_cli(["eval", "--lts", lts_file, "--formula", f, "--stats"]) == 0

@@ -299,10 +299,10 @@ def test_machine_formula_is_closed_and_of_the_right_order():
 @pytest.mark.parametrize(
     "machine, n, params, word, pinned",
     [
-        (M_PARITY, 5, P11, "1", (774, 4687, "d3d28b51bb82f6ad")),
-        (M_SWEEP, 3, P11, "1101", (919, 4783, "388cf6e370bcd27c")),
-        (M_ACC2, 2, ReductionParams(2, 1), "1" * 16, (922, 36307, "18f94e7013e3d5e0")),
-        (M_FIRST1, 3, P11, "10", (781, 3600, "2768e756fedbbca2")),
+        (M_PARITY, 5, P11, "1", (542, 2476, "ff4bbf55e4cf568b")),
+        (M_SWEEP, 3, P11, "1101", (675, 2263, "36d87292b88bd285")),
+        (M_ACC2, 2, ReductionParams(2, 1), "1" * 16, (709, 13972, "b24542c916d717b2")),
+        (M_FIRST1, 3, P11, "10", (524, 1826, "28d6270f04f2c702")),
     ],
 )
 def test_machine_formulas_stay_identical(machine, n, params, word, pinned):

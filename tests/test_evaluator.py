@@ -229,10 +229,10 @@ class TestPinnedCounters:
         return stats.subformula_evals, stats.pfp_iterations, stats.peak_live_values
 
     def test_machine_cases(self):
-        assert self._crossval(M_SWEEP, P11, "1101", 3) == (6171, 5, 47)
-        assert self._crossval(M_FIRST1, P11, "10", 3) == (3009, 3, 31)
-        assert self._crossval(M_ACC2, ReductionParams(2, 1), "1" * 16, 2) == (37162, 2, 38)
-        assert self._crossval(M_PARITY, P11, "1", 5) == (13800, 4, 134)
+        assert self._crossval(M_SWEEP, P11, "1101", 3) == (3418, 5, 47)
+        assert self._crossval(M_FIRST1, P11, "10", 3) == (1679, 3, 31)
+        assert self._crossval(M_ACC2, ReductionParams(2, 1), "1" * 16, 2) == (24821, 2, 38)
+        assert self._crossval(M_PARITY, P11, "1", 5) == (5817, 4, 134)
 
     def test_order_queries_through_one_compiled_formula(self):
         spec = TowerSpec(1, 3)

@@ -233,8 +233,8 @@ class TestFormulaParsing:
         assert proc.stdout == "True\n1000\n"
 
     def test_reading_converts_each_distinct_form_once(self, monkeypatch):
-        # the c07 and c08 texts are trees of 36,307 and 187,976 nodes over
-        # 922 and 1,750 distinct ones; reading one back constructs each
+        # the c07 and c08 texts are trees of 13,972 and 78,823 nodes over
+        # 709 and 1,478 distinct ones; reading one back constructs each
         # distinct node once, through the constructor or sugar function
         # of its form
         host = ordered_lts(6, (), ("p",), labels={(5, "p")})
@@ -249,7 +249,7 @@ class TestFormulaParsing:
                 return make(*args)
 
             monkeypatch.setattr(frontend, name, counted)
-        for built, text, sizes in zip(formulas, texts, [(922, 36307), (1750, 187976)]):
+        for built, text, sizes in zip(formulas, texts, [(709, 13972), (1478, 78823)]):
             calls.clear()
             assert parse_formula(text) is built
             nodes = _nodes(built)

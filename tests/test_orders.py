@@ -143,6 +143,22 @@ def test_nested_builds_stay_capture_free():
     assert_agrees(T13, a, b, build_lt(T13, a, b), lambda i, j: i < j)
 
 
+@pytest.mark.parametrize("spec,n", [(T12, 2), (T12, 3), (T13, 2)])
+def test_set_equality_and_the_least_set_read_no_order(spec, n):
+    # a host whose "<" has no edges: set equality and index 0 look only
+    # at members, so they stay exact where build_lt is no order at all
+    T = Lts(states=tuple("s%d" % i for i in range(n)), actions=(ORDER_ACTION,))
+    a, b = ("a",), ("b",)
+    ctx = {**slot_ctx(spec, a), **slot_ctx(spec, b)}
+    values = list(iter_domain(Domain(spec.value_type, n)))
+    f_eq = build_eq(spec, a, b)
+    f_zero = build_index(spec, 0, a)
+    for u in values:
+        assert evaluate(T, f_zero, env={"a": u}, ctx=ctx) == (not u.members), u
+        for v in values:
+            assert evaluate(T, f_eq, env={"a": u, "b": v}, ctx=ctx) == (u == v), (u, v)
+
+
 def test_equal_requests_build_one_node():
     a, b = ("a",), ("b",)
     assert build_succ(T12, a, b) is build_succ(T12, a, b)
@@ -170,6 +186,15 @@ def test_equal_requests_build_one_node():
         lambda: build_succ(T12, ("2v",), ("b",)),
         lambda: build_index(T12, 3, ("2y",)),
         lambda: build_index(T21, 0, ("b", "1u'")),
+        # the names the set-level successor binds, and the level-1 one's
+        lambda: build_succ(T12, ("1z",), ("b",)),
+        lambda: build_succ(T22, ("a",), ("1w'",)),
+        lambda: build_succ(T21, ("a", "1v'"), ("b", "c")),
+        # set-level equality binds z and reserves w
+        lambda: build_eq(T12, ("1w",), ("b",)),
+        # index 0 binds y at level 1 and z one level down from level 2 on
+        lambda: build_index(T11, 0, ("1y",)),
+        lambda: build_index(T12, 0, ("1z",)),
     ],
 )
 def test_slot_clashing_with_a_bound_name_raises(build):
