@@ -150,10 +150,10 @@ class _Space:
     the bitset (unit << i * stride) * rep: a block of stride ones, unit,
     repeated once per value of the arguments before v.  scope holds the
     fixpoint variables bound around the space's subformulas, the
-    binder's own included; run and step cache per-argument masks for
-    one run of the binder and for one stage of it.  In a binder's space,
-    scalar is the scalar space under the same scope; in a scalar space
-    it is None.
+    binder's own included.  In a binder's space, scalar is the scalar
+    space under the same scope; in a scalar space it is None.  A space
+    holds only this geometry and caches nothing: what is kept of a
+    subformula's values is kept by the scalar memo.
     """
 
     def __init__(
@@ -168,8 +168,6 @@ class _Space:
             v: (c, s, (1 << s) - 1, full // ((1 << c * s) - 1))
             for v, c, s in zip(args, cards, strides)
         }
-        self.run: dict = {}
-        self.step: dict = {}
         self.scalar = _Space(scope) if args else None
 
 
@@ -309,7 +307,7 @@ class _Session:
                     return env[var]
                 return stage_cl
             if len(argv) == 1 or not isinstance(g, (Not, Or, Exists)):
-                return self._leaf(g, space, argv, bound, types)
+                return self._leaf(g, space, argv, types)
         elif isinstance(g, Not) and isinstance(g.sub, Not):
             return self.compile(g.sub.sub, space, bound, types)
         if isinstance(g, Not):
@@ -417,46 +415,39 @@ class _Session:
                 sess.shrink(2)
         return exists_cl
 
-    def _leaf(self, g: Formula, space: _Space, argv: list, bound: frozenset, types: dict) -> Callable:
+    def _leaf(self, g: Formula, space: _Space, argv: list, types: dict) -> Callable:
         """g evaluated in the scalar space at one binding per value of the
         arguments it reads.
 
         The values of the last of those arguments give one row of blocks,
         spread over the space by one multiplication; every combination of
         the others, if any, cuts its rows down to the tuples carrying it.
-        The result is cached by the values of g's variables bound inside
-        the body: for one stage if g reads the stage, else for the run.
+        The mask is built afresh on every call and kept nowhere; g's
+        scalar memo, where g has one, serves each binding.
         """
         stats = self.stats
         clo = self.compile(g, space.scalar, _NO_NAMES, types)
-        cache = space.step if space.var in g.free and space.var not in bound else space.run
-        tag = object()
-        keyvars = tuple(sorted(g.free & bound))
         last = argv[-1]
         card, stride, unit, rep = space.axes[last]
         outer = argv[:-1]
         cuts = [space.axes[v] for v in outer]
         def leaf_cl(env: dict) -> int:
             stats.subformula_evals += 1
-            key = (tag,) + tuple(env[v] for v in keyvars)
-            hit = cache.get(key)
-            if hit is None:
-                hit = 0
-                for combo in product(*[range(axis[0]) for axis in cuts]):
-                    for v, i in zip(outer, combo):
-                        env[v] = i
-                    row = 0
-                    for i in range(card):
-                        env[last] = i
-                        if clo(env):
-                            row |= unit << i * stride
-                    if row:
-                        m = row * rep
-                        for (_, s, u, r), i in zip(cuts, combo):
-                            m &= (u << i * s) * r
-                        hit |= m
-                cache[key] = hit
-            return hit
+            acc = 0
+            for combo in product(*[range(axis[0]) for axis in cuts]):
+                for v, i in zip(outer, combo):
+                    env[v] = i
+                row = 0
+                for i in range(card):
+                    env[last] = i
+                    if clo(env):
+                        row |= unit << i * stride
+                if row:
+                    m = row * rep
+                    for (_, s, u, r), i in zip(cuts, combo):
+                        m &= (u << i * s) * r
+                    acc |= m
+            return acc
         return leaf_cl
 
     # -- guarded blocks ---------------------------------------------------
@@ -586,7 +577,8 @@ class _Session:
 
     def run_pfp(self, f: Pfp, space: _Space, body: Callable, env: dict) -> int:
         """Iterate f's body, compiled in space, from the empty set to a
-        repeat; the bit mask of its limit.  The run's trace joins traces."""
+        repeat; the bit mask of its limit.  The run's trace joins traces.
+        space is only read: it keeps nothing between stages or runs."""
         stats = self.stats
         var = f.var
         saved = {v: env.get(v, _MISSING) for v in f.args + (var,)}
@@ -599,7 +591,6 @@ class _Session:
             while True:
                 stats.pfp_iterations += 1
                 env[var] = prev
-                space.step.clear()
                 nxt = body(env)
                 size = nxt.bit_count()
                 self.grow(size)
@@ -613,8 +604,6 @@ class _Session:
                 seen[nxt] = None
                 prev = nxt
         finally:
-            space.run.clear()
-            space.step.clear()
             _restore(env, saved)
             self.shrink(len(f.args) + 2 + stored)
 

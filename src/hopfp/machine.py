@@ -83,10 +83,16 @@ class TmSpec:
         return q in (self.accept, self.reject)
 
     def state_index(self, q: str) -> int:
-        return self.states.index(q)
+        try:
+            return self.states.index(q)
+        except ValueError:
+            raise ValueError("unknown state %r" % q) from None
 
     def symbol_index(self, s: str) -> int:
-        return self.tape_alphabet.index(s)
+        try:
+            return self.tape_alphabet.index(s)
+        except ValueError:
+            raise ValueError("unknown tape symbol %r" % s) from None
 
     def initial_configuration(self, word: str) -> "Configuration":
         for ch in word:

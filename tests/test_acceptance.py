@@ -274,11 +274,16 @@ def test_c08_encoded_mode_end_to_end():
         CodingContext(ordered_lts(3), M_LASTPROP, ReductionParams(1, 2))
 
     host = ordered_lts(6, (), ("p",), labels={(5, "p")})
-    rep = crossval(M_LASTPROP, P11, lts=host, check_stages=True)
+    stats = EvalStats()
+    rep = crossval(M_LASTPROP, P11, lts=host, check_stages=True, stats=stats)
     assert rep.mode == "encoded"
     assert rep.cells == 64 and rep.tuple_space == 147456
     assert rep.machine_accepted and rep.formula_accepted and rep.agree
     assert rep.stages_match and rep.stage_count == 57
+    # (subformula_evals, pfp_iterations, peak_live_values), as pinned for
+    # the shorter cases in test_evaluator.TestPinnedCounters
+    assert (stats.subformula_evals, stats.pfp_iterations, stats.peak_live_values) == (
+        1118955, 56, 3590)
     assert time.monotonic() - began < 120
 
 

@@ -215,6 +215,14 @@ def test_coding_bounds():
         build_init(ctx, "2")
 
 
+def test_encode_stage_names_an_unknown_state_or_symbol():
+    ctx = _ctx(M_FIRST1, 3)
+    with pytest.raises(ValueError, match="^unknown state 'zz'$"):
+        encode_stage(ctx, Configuration("zz", 0, ()))
+    with pytest.raises(ValueError, match="^unknown tape symbol 'x'$"):
+        encode_stage(ctx, Configuration("q0", 0, ("1", "x")))
+
+
 # -- stage function ---------------------------------------------------------
 
 

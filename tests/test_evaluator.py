@@ -510,6 +510,45 @@ def test_differential_pfp_traces_over_argument_tuples(seed):
     _assert_pfp_trace_matches_reference(T, pf, scope, env)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_unmemoized_leaves_are_recomputed_at_every_stage(seed):
+    # a binder over pairs whose body reads its arguments through parts
+    # the scalar memo does not hold: ∃w ψ, free in x1, g1 and g2, one
+    # more variable than the memo keys on; a nested fixpoint and a
+    # quantifier that read the stage X.  Each is evaluated afresh, row
+    # by row, on every call, and must give the reference's stages.
+    rng = random.Random(seed)
+    T = random_lts(rng)
+    psi = Or(and_(Act("a", "x1", "w"), Act("<", "w", "g1")),
+             and_(Prop("p", "w"), Act("a", "g2", "w")))
+    reach = Exists("v", G, and_(Apply("Y", ("v",)), Act("a", "v", "x2")))
+    nested = Pfp("Y", SetOf(G),
+                 Or(and_(Apply("X", ("x2", "x1")), Prop("q", "g1")),
+                    Or(Act("<", "x1", "x2"), reach)),
+                 ("x2",))
+    chain = Exists("w", G, and_(Apply("X", ("w", "x2")), Act("a", "w", "x1")))
+    pf = Pfp("X", SetOf(GG), Or(nested, Or(Exists("w", G, psi), chain)), ("x1", "x2"))
+    scope = {"x1": G, "x2": G, "g1": G, "g2": G}
+    outer = {"g1": State(rng.randrange(T.n)), "g2": State(rng.randrange(T.n))}
+    compiled = compile_formula(T, pf, scope)
+    for x1 in range(T.n):
+        for x2 in range(T.n):
+            env = dict(outer, x1=State(x1), x2=State(x2))
+            assert compiled(env) == ref_eval(T, pf, env, scope), (x1, x2)
+    *inner_runs, run = compiled.traces
+    want = ref_pfp_limit(T, pf, outer, scope)[1]
+    assert _stage_values(T, pf, run.stages) == want
+    inner_scope = dict(scope, X=SetOf(GG))
+    served = [
+        ref_pfp_limit(T, nested, dict(outer, X=stage, x1=State(x1)), inner_scope)[1]
+        for stage in want[:-1]
+        for x1 in range(T.n)
+    ]
+    assert inner_runs
+    for tr in inner_runs:
+        assert _stage_values(T, nested, tr.stages) in served
+
+
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_one_node_under_two_typings(seed):
