@@ -172,7 +172,16 @@ def cmd_crossval(args: argparse.Namespace) -> int:
 
 
 def cmd_domain_size(args: argparse.Namespace) -> int:
-    print(domain_size(Domain(parse_type(args.type), args.n)))
+    size = domain_size(Domain(parse_type(args.type), args.n))
+    try:
+        text = str(size)
+    except ValueError:
+        # the interpreter bounds int to decimal conversion (sys.set_int_max_str_digits)
+        raise BudgetError(
+            "domain size has more decimal digits than the interpreter's limit of %d"
+            % sys.get_int_max_str_digits()
+        ) from None
+    print(text)
     return 0
 
 

@@ -305,7 +305,7 @@ def build_trans(ctx: CodingContext) -> Formula:
     head and the written symbol.  Cells away from the old head keep
     their content.  Bound names are fixed, so a test that recurs, such
     as the old head against the candidate's cell, is one interned node
-    and shares one memo table during evaluation.
+    whose existentials share their memo tables during evaluation.
     """
     m = ctx.machine
     yq, hd, cell, ys = TUPLE_VARS

@@ -27,8 +27,10 @@ so each stage is computed as one bitset: negation and disjunction act on
 whole bitsets, the binder's variable applied to its own arguments is the
 stage itself, and a subformula that reads a single argument is evaluated
 in the scalar space once per value of it and spread over the tuples that
-share it.  Small stable subformulas of the scalar space are memoized,
-each in its own table, made while it is compiled and kept without bound.
+share it.  Existentials of the scalar space, the nodes that sweep a
+domain, are memoized when they have at most two free variables and read
+no fixpoint variable in scope; nothing else is.  Each has its own table,
+made while it is compiled and kept without bound.
 
 The same walk type checks the formula.  It carries the types of the
 names in scope and applies the typing rule of each atom, guard and
@@ -90,7 +92,7 @@ _MISSING = object()
 
 _NO_NAMES: frozenset = frozenset()
 
-# results of subformulas over at most this many free variables are memoized
+# existentials over at most this many free variables are memoized
 _MEMO_MAX_VARS = 2
 
 
@@ -174,14 +176,16 @@ class _Space:
 class _Session:
     """One compiled formula's state: host tables, caches and counters.
 
-    tables holds one dict per memoized node and per fixpoint, under each
-    typing of its free variables, which the node's closures capture: a
-    memo maps the values of the node's free variables to its result, a
-    fixpoint's table those beyond its arguments to its limit mask.  The
-    table of compiled subterms (code) is filled while a formula is
-    compiled and emptied afterwards, so that no closure stays reachable
-    from the session and a dropped formula is freed as soon as its last
-    reference goes.
+    tables holds one dict per memoized existential and per fixpoint,
+    under each typing of its free variables, which the node's closures
+    capture: a memo maps the values of the existential's free variables
+    to its result, a fixpoint's table those beyond its arguments to its
+    limit mask.  An existential is memoized in the scalar space when it
+    has at most _MEMO_MAX_VARS free variables and none of them is a
+    fixpoint variable in scope; no other node is.  The table of compiled
+    subterms (code) is filled while a formula is compiled and emptied
+    afterwards, so that no closure stays reachable from the session and a
+    dropped formula is freed as soon as its last reference goes.
     """
 
     def __init__(
@@ -262,7 +266,7 @@ class _Session:
         fv = g.free
         if (
             not space.args
-            and isinstance(g, (Not, Or, Exists))
+            and isinstance(g, Exists)
             and len(fv) <= _MEMO_MAX_VARS
             and not (fv & space.scope)
         ):

@@ -2,8 +2,9 @@
 
 Run with -v to get one pass or fail line per criterion.  Everything is
 exact; where a criterion carries a runtime ceiling the test measures and
-asserts it.  The two long cases, c07 at three states and c08, are marked
-"extended" and can be left out with -m "not extended".
+asserts it.  The three long cases, c07 at three states, c08 and the
+width-two replay beside it, are marked "extended" and can be left out
+with -m "not extended".
 """
 
 import itertools
@@ -283,9 +284,24 @@ def test_c08_encoded_mode_end_to_end():
     # (subformula_evals, pfp_iterations, peak_live_values), as pinned for
     # the shorter cases in test_evaluator.TestPinnedCounters
     assert (stats.subformula_evals, stats.pfp_iterations, stats.peak_live_values) == (
-        1118955, 56, 3590)
+        1788796, 56, 3590)
     assert time.monotonic() - began < 120
 
+
+@pytest.mark.extended
+def test_c08_width_two_stage_replay_on_three_states():
+    # the requested width-two shape itself, with a machine that fits it:
+    # 512 cells, 2,359,296 tuples, and a run that sweeps five cells
+    began = time.monotonic()
+    stats = EvalStats()
+    rep = crossval(M_SWEEP, ReductionParams(1, 2), word="11111", n=3, check_stages=True, stats=stats)
+    assert rep.cells == 512 and rep.tuple_space == 2359296
+    assert rep.machine_accepted and rep.agree
+    assert rep.stages_match and rep.stage_count == 9
+    assert rep.stabilized_at == rep.machine_steps + 1
+    assert (stats.subformula_evals, stats.pfp_iterations, stats.peak_live_values) == (
+        6683915, 8, 4102)
+    assert time.monotonic() - began < 120
 
 
 def test_c09_space_discipline():

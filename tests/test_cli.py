@@ -304,6 +304,24 @@ def test_domain_size_budget(capsys):
     assert "budget:" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+def test_domain_size_past_the_digit_limit_is_a_budget_stop(capsys):
+    # 2^(2^13) has 2,467 decimal digits and 2^(2^14) 4,933
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert run_cli(["domain-size", "--type", "(set (set o))", "--n", "13"]) == 0
+        out = capsys.readouterr().out
+        assert out == "%d\n" % (1 << (1 << 13)) and len(out) == 2467 + 1
+        assert run_cli(["domain-size", "--type", "(set (set o))", "--n", "14"]) == 3
+    finally:
+        sys.set_int_max_str_digits(old)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "budget: domain size has more decimal digits than the interpreter's limit of 4300\n")
+
+
 # -- plumbing ---------------------------------------------------------------
 
 
