@@ -11,10 +11,12 @@ a bijection with [0, cardinality):
   * a set is read as a binary number over element indices, largest
     member most significant (the empty set is 0).
 
-Successor and comparison are computed structurally, so iteration streams
-through a domain without ever materializing it.  Cardinalities are exact
-big integers, guarded by a bit-length budget because set domains grow as
-a tower of exponentials.
+This bijection is the only definition of the order: successor and
+enumeration decode indices, so iteration streams through a domain
+without ever materializing it.  Comparing two values stays structural,
+because a value carries no domain.  Cardinalities are exact big
+integers, guarded by a bit-length budget because set domains grow as a
+tower of exponentials.
 """
 
 from __future__ import annotations
@@ -115,22 +117,25 @@ def tower(n: int, k: int, max_bits: int = DEFAULT_MAX_BITS) -> int:
     return out
 
 
-def domain_size(d: Domain, max_bits: int = DEFAULT_MAX_BITS) -> int:
+def domain_size(d: Domain) -> int:
     """Exact cardinality of the domain."""
-    t = d.vtype
+    return _size(d.vtype, d.n)
+
+
+def _size(t: Type, n: int) -> int:
     if isinstance(t, Ground):
-        return d.n
+        return n
     if isinstance(t, Compound):
         out = 1
         for p in t.parts:
-            out *= domain_size(Domain(p, d.n), max_bits)
-            if out.bit_length() > max_bits:
-                raise BudgetError("domain size exceeds %d bits" % max_bits)
+            out *= _size(p, n)
+            if out.bit_length() > DEFAULT_MAX_BITS:
+                raise BudgetError("domain size exceeds %d bits" % DEFAULT_MAX_BITS)
         return out
     if isinstance(t, SetOf):
-        inner = domain_size(d.elem(), max_bits)
-        if inner > max_bits:
-            raise BudgetError("domain size exceeds %d bits" % max_bits)
+        inner = _size(t.elem, n)
+        if inner > DEFAULT_MAX_BITS:
+            raise BudgetError("domain size exceeds %d bits" % DEFAULT_MAX_BITS)
         return 1 << inner
     raise TypeError("not a type: %r" % (t,))
 
@@ -168,30 +173,34 @@ def canonical_index(d: Domain, v: Value) -> int:
 
 def index_to_value(d: Domain, idx: int) -> Value:
     """Inverse of canonical_index."""
-    t = d.vtype
     size = domain_size(d)
     if not 0 <= idx < size:
         raise ConformanceError("index %d out of range for domain of size %d" % (idx, size))
+    return _decode(d.vtype, d.n, idx)
+
+
+def _decode(t: Type, n: int, idx: int) -> Value:
+    """The value at an index already known to lie in the domain of (t, n)."""
     if isinstance(t, Ground):
         return State(idx)
     if isinstance(t, Compound):
         rev = []
-        for i in range(len(t.parts) - 1, -1, -1):
-            sub = d.part(i)
-            idx, rest = divmod(idx, domain_size(sub))
-            rev.append(index_to_value(sub, rest))
+        for p in reversed(t.parts):
+            idx, rest = divmod(idx, _size(p, n))
+            rev.append(_decode(p, n, rest))
         return Tup(tuple(reversed(rev)))
     if isinstance(t, SetOf):
-        sub = d.elem()
-        members = []
-        bit = 0
-        while idx:
-            if idx & 1:
-                members.append(index_to_value(sub, bit))
-            idx >>= 1
-            bit += 1
-        return SetV(tuple(members))
+        return SetV(tuple(_decode(t.elem, n, i) for i in iter_members(idx)))
     raise TypeError("not a type: %r" % (t,))
+
+
+def iter_members(x: int) -> Iterator[int]:
+    """Member indices of a set bit mask, in increasing order."""
+    digits = bin(x)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
 
 
 def canonical_compare(u: Value, v: Value) -> int:
@@ -225,61 +234,16 @@ def canonical_compare(u: Value, v: Value) -> int:
     raise ConformanceError("cannot compare %r with %r" % (u, v))
 
 
-def minimum(d: Domain) -> Value:
-    t = d.vtype
-    if isinstance(t, Ground):
-        return State(0)
-    if isinstance(t, Compound):
-        return Tup(tuple(minimum(d.part(i)) for i in range(len(t.parts))))
-    if isinstance(t, SetOf):
-        return SetV(())
-    raise TypeError("not a type: %r" % (t,))
-
-
 def canonical_successor(d: Domain, v: Value) -> Optional[Value]:
-    """Immediate successor in canonical order, or None at the maximum.
-
-    Works structurally: tuples tick like an odometer from the last
-    component, sets perform a binary increment by swapping the lowest
-    absent element in for everything below it.  Neither materializes the
-    surrounding domain.
-    """
-    t = d.vtype
-    if isinstance(t, Ground):
-        assert isinstance(v, State)
-        return State(v.index + 1) if v.index + 1 < d.n else None
-    if isinstance(t, Compound):
-        assert isinstance(v, Tup)
-        items = list(v.items)
-        for i in range(len(items) - 1, -1, -1):
-            s = canonical_successor(d.part(i), items[i])
-            if s is not None:
-                items[i] = s
-                for j in range(i + 1, len(items)):
-                    items[j] = minimum(d.part(j))
-                return Tup(tuple(items))
-        return None
-    if isinstance(t, SetOf):
-        assert isinstance(v, SetV)
-        sub = d.elem()
-        ptr = 0
-        e: Optional[Value] = minimum(sub)
-        while e is not None:
-            if ptr < len(v.members) and v.members[ptr] == e:
-                ptr += 1
-                e = canonical_successor(sub, e)
-            else:
-                # e is the lowest absent element: set its bit, clear below
-                return SetV((e,) + v.members[ptr:])
-        return None
-    raise TypeError("not a type: %r" % (t,))
+    """Immediate successor in canonical order, or None at the maximum."""
+    idx = canonical_index(d, v) + 1
+    return _decode(d.vtype, d.n, idx) if idx < domain_size(d) else None
 
 
 def iter_domain(d: Domain, budget: Optional[int] = DEFAULT_ENUM_BUDGET) -> Iterator[Value]:
-    """Stream the domain in canonical order."""
-    if budget is not None and domain_size(d) > budget:
-        raise BudgetError("domain of size %d exceeds enumeration budget %d" % (domain_size(d), budget))
-    v: Optional[Value] = minimum(d)
-    while v is not None:
-        yield v
-        v = canonical_successor(d, v)
+    """Stream the domain in canonical order, decoding one index at a time."""
+    size = domain_size(d)
+    if budget is not None and size > budget:
+        raise BudgetError("domain of size %d exceeds enumeration budget %d" % (size, budget))
+    for idx in range(size):
+        yield _decode(d.vtype, d.n, idx)

@@ -63,6 +63,7 @@ from .domains import (
     canonical_index,
     domain_size,
     index_to_value,
+    iter_members,
 )
 from .logic import (
     Act,
@@ -523,7 +524,7 @@ class _Session:
             sess.grow(arity + 1)
             acc = 0
             try:
-                for rem in _iter_members(x):
+                for rem in iter_members(x):
                     for v, r in splits:
                         rem, env[v] = divmod(rem, r)
                     env[first] = rem
@@ -613,7 +614,7 @@ class _Session:
 
 
 def _trace(f: Pfp, stages: list, outcome: str, at: Optional[int], n: int) -> PfpTrace:
-    return PfpTrace(tuple(frozenset(_iter_members(s)) for s in stages), outcome, at, f.vtype.elem, n)
+    return PfpTrace(tuple(frozenset(iter_members(s)) for s in stages), outcome, at, f.vtype.elem, n)
 
 
 def _flatten_and(f: Formula) -> list:
@@ -635,15 +636,6 @@ def _restore(env: dict, saved: dict) -> None:
             env.pop(v, None)
         else:
             env[v] = old
-
-
-def _iter_members(x: int):
-    """Member indices of a set bit mask, in increasing order."""
-    digits = bin(x)[:1:-1]
-    i = digits.find("1")
-    while i >= 0:
-        yield i
-        i = digits.find("1", i + 1)
 
 
 class CompiledFormula:

@@ -18,7 +18,6 @@ from hopfp.domains import (
     index_to_value,
     iter_domain,
     make_set,
-    minimum,
     tower,
 )
 from hopfp.logic import GROUND as G
@@ -92,7 +91,7 @@ class TestEnumeration:
             assert canonical_index(d, v) == i
         # successor walk agrees with index order and terminates
         walked = []
-        v = minimum(d)
+        v = index_to_value(d, 0)
         while v is not None:
             walked.append(v)
             v = canonical_successor(d, v)
@@ -131,6 +130,8 @@ class TestEnumeration:
             canonical_index(Domain(GG, 2), Tup((State(0),)))
         with pytest.raises(ConformanceError):
             canonical_index(Domain(SetOf(G), 2), State(0))
+        with pytest.raises(ConformanceError):
+            canonical_successor(Domain(G, 2), State(7))
 
     def test_iter_domain_budget(self):
         d = Domain(SetOf(G), 3)
@@ -138,11 +139,18 @@ class TestEnumeration:
             list(iter_domain(d, budget=7))
         assert len(list(iter_domain(d, budget=8))) == 8
 
+    def test_iter_domain_streams(self):
+        # 2^32 values: only a lazy decoder reaches the first one
+        assert next(iter_domain(Domain(SetOf(SetOf(G)), 5), budget=None)) == SetV(())
+
 
 class TestSets:
     def test_make_set_sorts_and_dedupes(self):
         s = make_set([State(2), State(0), State(2)])
         assert s == SetV((State(0), State(2)))
+        # an unsorted set's successor is still a sorted set
+        unsorted = SetV((State(1), State(0)))
+        assert canonical_successor(Domain(SetOf(G), 3), unsorted) == make_set([State(2)])
 
     def test_sets_compare_by_largest_member(self):
         a = make_set([State(0), State(1)])
