@@ -48,6 +48,7 @@ results: the semantics is exactly the structural one.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import product
 from math import prod
@@ -80,7 +81,6 @@ from .logic import (
     Type,
     TypingContext,
     TypingError,
-    allow_deep_recursion,
     applied_arg_types,
     check_node,
     check_well_formed,
@@ -95,6 +95,9 @@ _NO_NAMES: frozenset = frozenset()
 
 # existentials over at most this many free variables are memoized
 _MEMO_MAX_VARS = 2
+
+# compiling and the compiled closures recurse once per nesting level
+RECURSION_LIMIT = 20000
 
 
 @dataclass
@@ -127,20 +130,21 @@ class PfpTrace:
 
     stages[0] is the empty set and stages[i+1] is the stage function
     applied to stages[i]; members are canonical indices into the element
-    domain.  outcome is "stabilized" (stages[stabilized_at] equals the
-    next stage) or "no-fixpoint" (an earlier stage recurred).
+    domain.  stages[stabilized_at] equals the next stage; stabilized_at is
+    None when an earlier stage recurred instead.
     """
 
     stages: tuple
-    outcome: str
     stabilized_at: Optional[int]
-    elem_type: Type
-    n: int
+
+    @property
+    def outcome(self) -> str:
+        return "no-fixpoint" if self.stabilized_at is None else "stabilized"
 
     def limit(self) -> frozenset:
-        if self.outcome == "stabilized":
-            return self.stages[self.stabilized_at]
-        return frozenset()
+        if self.stabilized_at is None:
+            return frozenset()
+        return self.stages[self.stabilized_at]
 
 
 class _Space:
@@ -165,10 +169,12 @@ class _Space:
         self.scope = scope
         self.var = var
         self.args = args
-        self.full = full = (1 << prod(cards)) - 1
+        size = prod(cards)
+        self.full = (1 << size) - 1
         strides = [prod(cards[j + 1:]) for j in range(len(cards))]
+        # rep has a one at the start of each run of c * s tuples
         self.axes = {
-            v: (c, s, (1 << s) - 1, full // ((1 << c * s) - 1))
+            v: (c, s, (1 << s) - 1, int(("0" * (c * s - 1) + "1") * (size // (c * s)), 2))
             for v, c, s in zip(args, cards, strides)
         }
         self.scalar = _Space(scope) if args else None
@@ -241,8 +247,9 @@ class _Session:
 
     def compile_root(self, f: Formula, types: dict) -> Callable:
         """Compile f, with the names in scope typed by types, in the
-        outermost scalar space; one frame per nesting level."""
-        allow_deep_recursion()
+        outermost scalar space, after raising the recursion limit for good."""
+        if sys.getrecursionlimit() < RECURSION_LIMIT:
+            sys.setrecursionlimit(RECURSION_LIMIT)
         try:
             return self.compile(f, _Space(_NO_NAMES), _NO_NAMES, types)
         finally:
@@ -271,20 +278,22 @@ class _Session:
             and len(fv) <= _MEMO_MAX_VARS
             and not (fv & space.scope)
         ):
-            names = tuple(sorted(fv))
             # shared by the node's closures in the scalar spaces of all scopes
-            memo = self.tables.setdefault((g, typing), {})
-            inner = clo
-            def memoized(env: dict) -> int:
-                # a list builds faster than a generator, on the hottest line
-                key = tuple([env[v] for v in names])
-                hit = memo.get(key)
-                if hit is None:
-                    hit = memo[key] = inner(env)
-                return hit
-            clo = memoized
+            clo = self._tabled(g, typing, tuple(sorted(fv)), clo)
         self.code[ckey] = clo
         return clo
+
+    def _tabled(self, g: Formula, typing: tuple, names: tuple, compute: Callable) -> Callable:
+        """compute served from g's table under typing, once per binding of names."""
+        table = self.tables.setdefault((g, typing), {})
+        def tabled(env: dict) -> int:
+            # a list builds faster than a generator, on the hottest line
+            key = tuple([env[v] for v in names])
+            hit = table.get(key)
+            if hit is None:
+                hit = table[key] = compute(env)
+            return hit
+        return tabled
 
     def _compile(self, g: Formula, space: _Space, bound: frozenset, types: dict) -> Callable:
         stats = self.stats
@@ -568,15 +577,12 @@ class _Session:
         inner = _Space(scope | {f.var}, f.var, f.args, cards)
         body = self.compile(f.body, inner, _NO_NAMES, {**types, f.var: f.vtype})
         residual = tuple(sorted(f.free - set(f.args)))
-        limits = self.tables.setdefault((f, typing), {})
         sess = self
-        def limit_cl(env: dict) -> int:
-            key = tuple([env[v] for v in residual])
-            limit = limits.get(key)
-            if limit is None:
-                limit = limits[key] = sess.run_pfp(f, inner, body, env)
-                sess.grow(limit.bit_count())
+        def run(env: dict) -> int:
+            limit = sess.run_pfp(f, inner, body, env)
+            sess.grow(limit.bit_count())
             return limit
+        limit_cl = self._tabled(f, typing, residual, run)
         self.code[ckey] = limit_cl
         return limit_cl
 
@@ -590,31 +596,25 @@ class _Session:
         self.grow(len(f.args) + 2)
         stored = 0
         try:
-            prev = 0
             # the stages so far, in order
-            seen = {prev: None}
-            while True:
+            seen: dict = {}
+            nxt = 0
+            while nxt not in seen:
+                seen[nxt] = None
+                prev = nxt
                 stats.pfp_iterations += 1
                 env[var] = prev
                 nxt = body(env)
                 size = nxt.bit_count()
                 self.grow(size)
                 stored += size
-                if nxt == prev:
-                    self.traces.append(_trace(f, [*seen, nxt], "stabilized", len(seen) - 1, self.n))
-                    return nxt
-                if nxt in seen:
-                    self.traces.append(_trace(f, [*seen, nxt], "no-fixpoint", None, self.n))
-                    return 0
-                seen[nxt] = None
-                prev = nxt
+            stages = tuple(frozenset(iter_members(s)) for s in [*seen, nxt])
+            at = len(seen) - 1 if nxt == prev else None
+            self.traces.append(PfpTrace(stages, at))
+            return 0 if at is None else nxt
         finally:
             _restore(env, saved)
             self.shrink(len(f.args) + 2 + stored)
-
-
-def _trace(f: Pfp, stages: list, outcome: str, at: Optional[int], n: int) -> PfpTrace:
-    return PfpTrace(tuple(frozenset(iter_members(s)) for s in stages), outcome, at, f.vtype.elem, n)
 
 
 def _flatten_and(f: Formula) -> list:

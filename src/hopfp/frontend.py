@@ -21,8 +21,8 @@ both directions do their Python-level work once per distinct form.  The
 printer builds each distinct node's text once, from its children's, in
 an iterative walk.  The reader interns the shape of every list in one
 pass over the tokens, keeps those shapes instead of the tokens, and
-converts each distinct shape once per context: as a formula, a type or
-a value.
+converts each distinct shape once per context, on an explicit stack: as
+a formula, a type or a value.
 
 Systems and machines use a line format with "key: value" entries and
 ";" comments; see parse_lts and parse_tm.  Parse failures carry a
@@ -36,7 +36,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .domains import SetV, State, Tup, Value, make_set
 from .logic import (
@@ -57,7 +57,6 @@ from .logic import (
     Type,
     _children,
     _nodes,
-    allow_deep_recursion,
     conj,
     disj,
     exists_all,
@@ -108,18 +107,16 @@ class _Source:
     whitespace and comments.  Only the shapes are kept, not the tokens:
     the items of a list occurrence follow from its shape and the sizes
     of its items' shapes.  No position is kept either; error works out
-    the one it reports.  The readers below convert each (context, key)
-    once per text and memoize the result here (see _formula).
+    the one it reports.  memo keeps what each converter makes of a key
+    (see _read); lts is the host whose states value literals name.
     """
 
-    def __init__(self, text: str, what: str) -> None:
-        allow_deep_recursion()
+    def __init__(self, text: str, what: str, lts: Optional[Lts] = None) -> None:
         self.text = text
+        self.lts = lts
         self.shapes: list[tuple[_Key, ...]] = []  # shape id -> its items' keys
         self.sizes: list[int] = []  # shape id -> its number of tokens
-        self.formulas: dict[_Key, Formula] = {}
-        self.types: dict[_Key, Type] = {}
-        self.values: dict[_Key, Value] = {}
+        self.memo: dict = {}  # (converter, key) -> its result
         tokens = list(filter(None, _TOKEN.findall(text)))
         if not tokens:
             raise ParseError("empty input, expected %s" % what)
@@ -207,39 +204,72 @@ def _name(src: _Source, at: _At, what: str) -> str:
     return name
 
 
+def _read(src: _Source, conv: Callable, at: _At):
+    """What the converter conv makes of the form at `at`.
+
+    A converter is a generator over one form: it yields (converter, at)
+    for each subform it needs, in the order it reads them, and is sent
+    back the result.  The converters waiting for a subform wait on a
+    list, not on the interpreter's stack, so a form of any depth reads
+    without a raised recursion limit.  Each (converter, key) is converted
+    at its first occurrence only, and later ones take the result in
+    src.memo.  A form that fails is not memoized, so a hit skips only a
+    subform that read cleanly, and the first error met in this pre-order
+    walk, and where it is, are those of a walk over the whole tree.
+    """
+    memo = src.memo
+    waiting: list = []  # (memo key, generator) of the forms begun, innermost last
+    while True:
+        key = (conv, at[1])
+        got = memo.get(key)
+        if got is None:
+            waiting.append((key, conv(src, at)))
+        while waiting:
+            key, gen = waiting[-1]
+            try:
+                conv, at = gen.send(got)
+                break
+            except StopIteration as done:
+                got = memo[key] = done.value
+                waiting.pop()
+        else:
+            return got
+
+
+def _each(conv: Callable, items: list[_At]):
+    """Read each of the items with conv, in order; the list of results."""
+    out = []
+    for x in items:
+        out.append((yield conv, x))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # types
 
 
-def _type(src: _Source, at: _At) -> Type:
-    """The type at `at`, memoized by key as _formula is."""
-    t = src.types.get(at[1])
-    if t is not None:
-        return t
+def _type(src: _Source, at: _At):
+    """The type at `at` (see _read)."""
     form = src.form(at)
     if isinstance(form, str):
         if form != "o":
             raise src.error("unknown type %r" % form, at)
-        t = GROUND
-    else:
-        head = _head(src, at, form)
-        if head == "set":
-            if len(form) != 2:
-                raise src.error("set takes one element type", at)
-            t = SetOf(_type(src, form[1]))
-        elif head == "tuple":
-            if len(form) < 2:
-                raise src.error("tuple needs at least one part", at)
-            t = Compound(tuple(_type(src, x) for x in form[1:]))
-        else:
-            raise src.error("unknown type former %r" % head, at)
-    src.types[at[1]] = t
-    return t
+        return GROUND
+    head = _head(src, at, form)
+    if head == "set":
+        if len(form) != 2:
+            raise src.error("set takes one element type", at)
+        return SetOf((yield _type, form[1]))
+    if head == "tuple":
+        if len(form) < 2:
+            raise src.error("tuple needs at least one part", at)
+        return Compound(tuple((yield from _each(_type, form[1:]))))
+    raise src.error("unknown type former %r" % head, at)
 
 
 def parse_type(text: str) -> Type:
     src = _Source(text, "a type")
-    return _type(src, src.root)
+    return _read(src, _type, src.root)
 
 
 def format_type(t: Type) -> str:
@@ -256,96 +286,84 @@ def format_type(t: Type) -> str:
 # formulas
 
 
-def _binder_pair(src: _Source, at: _At) -> tuple[str, Type]:
+def _binder_pair(src: _Source, at: _At):
     form = src.form(at)
     if isinstance(form, str) or len(form) != 2:
         raise src.error("expected (VAR TYPE)", at)
-    return _name(src, form[0], "a variable"), _type(src, form[1])
+    return _name(src, form[0], "a variable"), (yield _type, form[1])
 
 
-def _binder_group(src: _Source, at: _At) -> list[tuple[str, Type]]:
+def _binder_group(src: _Source, at: _At):
     form = src.form(at)
     if isinstance(form, str) or not form:
         raise src.error("expected a nonempty binder list", at)
-    return [_binder_pair(src, x) for x in form]
+    return (yield from _each(_binder_pair, form))
 
 
-def _formula(src: _Source, at: _At) -> Formula:
-    """The formula at `at`.  It is converted at the first occurrence of
-    its key only; later occurrences take the memoized result.  A form
-    that fails is not memoized, so a hit skips only a subform that read
-    cleanly, and the first error met in this pre-order walk, and where
-    it is, are those of a walk over the whole tree."""
-    f = src.formulas.get(at[1])
-    if f is not None:
-        return f
+def _formula(src: _Source, at: _At):
+    """The formula at `at` (see _read)."""
     form = src.form(at)
     if isinstance(form, str):
         if form == "tt":
-            f = TT
-        elif form == "ff":
-            f = Not(TT)
-        else:
-            raise src.error("expected a formula, got %r" % form, at)
-    else:
-        head = _head(src, at, form)
-        if head == "prop":
-            if len(form) != 3:
-                raise src.error("prop takes a name and a variable", at)
-            f = Prop(_name(src, form[1], "a proposition name"), _name(src, form[2], "a variable"))
-        elif head == "act":
-            if len(form) != 4:
-                raise src.error("act takes a name and two variables", at)
-            f = Act(
-                _name(src, form[1], "an action name"),
-                _name(src, form[2], "a variable"),
-                _name(src, form[3], "a variable"),
-            )
-        elif head == "app":
-            if len(form) < 3:
-                raise src.error("app takes a set variable and arguments", at)
-            f = Apply(
-                _name(src, form[1], "a set variable"),
-                tuple(_name(src, x, "a variable") for x in form[2:]),
-            )
-        elif head == "not":
-            if len(form) != 2:
-                raise src.error("not takes one formula", at)
-            f = Not(_formula(src, form[1]))
-        elif head == "or":
-            f = disj([_formula(src, x) for x in form[1:]])
-        elif head == "and":
-            f = conj([_formula(src, x) for x in form[1:]])
-        elif head == "imp":
-            if len(form) != 3:
-                raise src.error("imp takes two formulas", at)
-            f = implies(_formula(src, form[1]), _formula(src, form[2]))
-        elif head == "exists":
-            if len(form) != 3:
-                raise src.error("exists takes a binder list and a body", at)
-            f = exists_all(_binder_group(src, form[1]), _formula(src, form[2]))
-        elif head == "forall":
-            if len(form) != 3:
-                raise src.error("forall takes a binder list and a body", at)
-            f = forall_all(_binder_group(src, form[1]), _formula(src, form[2]))
-        elif head == "pfp":
-            if len(form) != 4:
-                raise src.error("pfp takes a binder, an argument list and a body", at)
-            var, vtype = _binder_pair(src, form[1])
-            arg_list = src.form(form[2])
-            if isinstance(arg_list, str):
-                raise src.error("expected an argument list", form[2])
-            args = tuple(_name(src, x, "a variable") for x in arg_list)
-            f = Pfp(var, vtype, _formula(src, form[3]), args)
-        else:
-            raise src.error("unknown connective %r" % head, at)
-    src.formulas[at[1]] = f
-    return f
+            return TT
+        if form == "ff":
+            return Not(TT)
+        raise src.error("expected a formula, got %r" % form, at)
+    head = _head(src, at, form)
+    if head == "prop":
+        if len(form) != 3:
+            raise src.error("prop takes a name and a variable", at)
+        return Prop(_name(src, form[1], "a proposition name"), _name(src, form[2], "a variable"))
+    if head == "act":
+        if len(form) != 4:
+            raise src.error("act takes a name and two variables", at)
+        return Act(
+            _name(src, form[1], "an action name"),
+            _name(src, form[2], "a variable"),
+            _name(src, form[3], "a variable"),
+        )
+    if head == "app":
+        if len(form) < 3:
+            raise src.error("app takes a set variable and arguments", at)
+        return Apply(
+            _name(src, form[1], "a set variable"),
+            tuple(_name(src, x, "a variable") for x in form[2:]),
+        )
+    if head == "not":
+        if len(form) != 2:
+            raise src.error("not takes one formula", at)
+        return Not((yield _formula, form[1]))
+    if head == "or":
+        return disj((yield from _each(_formula, form[1:])))
+    if head == "and":
+        return conj((yield from _each(_formula, form[1:])))
+    if head == "imp":
+        if len(form) != 3:
+            raise src.error("imp takes two formulas", at)
+        return implies((yield _formula, form[1]), (yield _formula, form[2]))
+    if head == "exists":
+        if len(form) != 3:
+            raise src.error("exists takes a binder list and a body", at)
+        return exists_all((yield _binder_group, form[1]), (yield _formula, form[2]))
+    if head == "forall":
+        if len(form) != 3:
+            raise src.error("forall takes a binder list and a body", at)
+        return forall_all((yield _binder_group, form[1]), (yield _formula, form[2]))
+    if head == "pfp":
+        if len(form) != 4:
+            raise src.error("pfp takes a binder, an argument list and a body", at)
+        var, vtype = yield _binder_pair, form[1]
+        arg_list = src.form(form[2])
+        if isinstance(arg_list, str):
+            raise src.error("expected an argument list", form[2])
+        args = tuple(_name(src, x, "a variable") for x in arg_list)
+        return Pfp(var, vtype, (yield _formula, form[3]), args)
+    raise src.error("unknown connective %r" % head, at)
 
 
 def parse_formula(text: str) -> Formula:
     src = _Source(text, "a formula")
-    return _formula(src, src.root)
+    return _read(src, _formula, src.root)
 
 
 def format_formula(f: Formula) -> str:
@@ -393,36 +411,28 @@ def _format(f: Formula, parts: list[str]) -> str:
 # values
 
 
-def _value(src: _Source, at: _At, lts: Lts) -> Value:
-    """The value at `at`, memoized by key as _formula is; lts is the
-    same for every form of a text."""
-    v = src.values.get(at[1])
-    if v is not None:
-        return v
+def _value(src: _Source, at: _At):
+    """The value at `at`, over the host src.lts (see _read)."""
     form = src.form(at)
     if isinstance(form, str):
         try:
-            v = State(lts.state_index(form))
+            return State(src.lts.state_index(form))
         except ValueError:
             raise src.error("unknown state %r" % form, at) from None
-    else:
-        head = _head(src, at, form)
-        if head == "tuple":
-            if len(form) < 2:
-                raise src.error("tuple needs at least one item", at)
-            v = Tup(tuple(_value(src, x, lts) for x in form[1:]))
-        elif head == "set":
-            v = make_set(_value(src, x, lts) for x in form[1:])
-        else:
-            raise src.error("unknown value former %r" % head, at)
-    src.values[at[1]] = v
-    return v
+    head = _head(src, at, form)
+    if head == "tuple":
+        if len(form) < 2:
+            raise src.error("tuple needs at least one item", at)
+        return Tup(tuple((yield from _each(_value, form[1:]))))
+    if head == "set":
+        return make_set((yield from _each(_value, form[1:])))
+    raise src.error("unknown value former %r" % head, at)
 
 
 def parse_value(text: str, lts: Lts) -> Value:
     """Value literal: a state name, (tuple ...) or (set ...)."""
-    src = _Source(text, "a value")
-    return _value(src, src.root, lts)
+    src = _Source(text, "a value", lts)
+    return _read(src, _value, src.root)
 
 
 def infer_value_type(v: Value) -> Type:

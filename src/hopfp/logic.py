@@ -29,7 +29,6 @@ they need no raised recursion limit however deep the formula.
 
 from __future__ import annotations
 
-import sys
 import weakref
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
@@ -37,16 +36,6 @@ from typing import Iterable, Mapping, Optional, Union
 
 class TypingError(Exception):
     """A formula violates the well-formedness rules."""
-
-
-# formulas are walked recursively, one frame per nesting level
-RECURSION_LIMIT = 20000
-
-
-def allow_deep_recursion() -> None:
-    """Raise the interpreter's recursion limit to RECURSION_LIMIT if lower."""
-    if sys.getrecursionlimit() < RECURSION_LIMIT:
-        sys.setrecursionlimit(RECURSION_LIMIT)
 
 
 # ---------------------------------------------------------------------------

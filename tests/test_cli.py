@@ -1,20 +1,17 @@
 """The command line surface: exit codes, streams and file handling."""
 
 import json
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from hopfp.cli import run_cli
 from hopfp.compiler import CodingContext, ReductionParams, build_machine_formula
-from hopfp.evaluator import evaluate
+from hopfp.evaluator import RECURSION_LIMIT, evaluate
 from hopfp.frontend import format_lts, format_tm, parse_formula
-from hopfp.logic import RECURSION_LIMIT
 from hopfp.lts import ordered_lts
 
+from _fresh import run_fresh
 from _machines import M_FIRST1, M_LASTPROP, M_LOOP, M_SWEEP
 
 T3 = ordered_lts(3, (), ("p",), labels={(2, "p")})
@@ -290,12 +287,14 @@ def test_domain_size_examples(capsys):
 
 
 def test_recursion_depth_stop_names_the_limit(files, lts_file, capsys):
+    # reading and checking walk iteratively; compiling recurses per level
     depth = 2 * max(sys.getrecursionlimit(), RECURSION_LIMIT)
     f = files("deep.hof", "(not " * depth + "tt" + ")" * depth)
-    assert run_cli(["typecheck", "--formula", f]) == 3
+    assert run_cli(["typecheck", "--formula", f]) == 0
+    assert capsys.readouterr().out == "order: 1\n"
     assert run_cli(["eval", "--lts", lts_file, "--formula", f]) == 3
     err = capsys.readouterr().err
-    assert err.count("budget: recursion depth limit of %d reached" % sys.getrecursionlimit()) == 2
+    assert err.count("budget: recursion depth limit of %d reached" % sys.getrecursionlimit()) == 1
 
 
 def test_domain_size_budget(capsys):
@@ -333,15 +332,6 @@ def test_usage_errors_exit_two():
 
 
 def test_module_entry_point(tm_file):
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "hopfp.cli", "simulate", "--tm", tm_file,
-         "--word", "10"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    proc = run_fresh("-m", "hopfp.cli", "simulate", "--tm", tm_file, "--word", "10")
     assert proc.returncode == 0
     assert proc.stdout == "steps: 1\nspace: 1\n"

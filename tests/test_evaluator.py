@@ -6,18 +6,15 @@ literal structural one in _reference, which share no code paths.
 """
 
 import gc
-import os
 import random
-import subprocess
-import sys
 import textwrap
 import weakref
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _fresh import run_fresh
 from _gen import random_formula, random_lts, scoped_instance
 from _machines import M_ACC2, M_FIRST1, M_PARITY, M_SWEEP
 from _probe import stage_image
@@ -32,7 +29,7 @@ from hopfp.domains import (
     iter_domain,
     make_set,
 )
-from hopfp.evaluator import EvalStats, compile_formula, evaluate, pfp_iterate
+from hopfp.evaluator import EvalStats, _Space, compile_formula, evaluate, pfp_iterate
 from hopfp.frontend import format_formula
 from hopfp.logic import (
     GROUND as G,
@@ -207,13 +204,7 @@ class TestStageProbe:
             pf = Pfp("X", SetOf(GROUND), body, ("x",))
             print(sorted(stage_image(host, pf, frozenset({0}))))
         """)
-        env = dict(os.environ)
-        here = Path(__file__).resolve().parent
-        path = [str(here.parent / "src"), str(here), env.get("PYTHONPATH", "")]
-        env["PYTHONPATH"] = os.pathsep.join(path)
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env
-        )
+        proc = run_fresh("-c", script)
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout == "[0, 2]\n"
 
@@ -549,6 +540,16 @@ def test_unmemoized_leaves_are_recomputed_at_every_stage(seed):
     assert inner_runs
     for tr in inner_runs:
         assert _stage_values(T, nested, tr.stages) in served
+
+
+def test_repeat_masks_equal_the_division_form():
+    # an axis's repeat mask has a one at the start of every run of
+    # card * stride tuples: the full mask divided by one run of ones
+    for cards in [(1,), (4,), (2, 3), (3, 1, 2), (2, 2, 2, 2), (3, 4, 4, 3)]:
+        space = _Space(frozenset({"X"}), "X", tuple("abcd"[: len(cards)]), cards)
+        assert len(space.axes) == len(cards)
+        for c, s, _, rep in space.axes.values():
+            assert rep == space.full // ((1 << c * s) - 1)
 
 
 @given(seed=st.integers(0, 2**32 - 1))

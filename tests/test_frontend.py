@@ -1,16 +1,13 @@
 """Concrete syntax round trips and error reporting."""
 
 import gc
-import os
 import random
-import subprocess
-import sys
 import textwrap
 import weakref
-from pathlib import Path
 
 import pytest
 
+from _fresh import run_fresh
 from _gen import scoped_instance
 from _machines import M_ACC2, M_FIRST1, M_LASTPROP
 from hopfp import frontend
@@ -225,12 +222,37 @@ class TestFormulaParsing:
             print(format_formula(f) == "(not " * 3000 + "tt" + ")" * 3000)
             print(sys.getrecursionlimit())
         """)
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        proc = run_fresh("-c", script)
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout == "True\n1000\n"
+
+    def test_reading_leaves_the_recursion_limit(self):
+        # the readers keep their waiting converters on a list, so forms
+        # nested far deeper than the default limit of 1000 frames read
+        # without raising it; a nested value is walked by hand, as ==
+        # on it would recurse
+        script = textwrap.dedent("""
+            import sys
+            from hopfp.domains import SetV, State, Tup
+            from hopfp.frontend import parse_formula, parse_type, parse_value
+            from hopfp.logic import GROUND, TT, Not, SetOf
+            from hopfp.lts import ordered_lts
+            f, t = TT, GROUND
+            for _ in range(3000):
+                f, t = Not(f), SetOf(t)
+            print(parse_formula("(not " * 3000 + "tt" + ")" * 3000) is f)
+            print(parse_type("(set " * 3000 + "o" + ")" * 3000) is t)
+            v = parse_value("(set (tuple " * 1500 + "s1" + "))" * 1500, ordered_lts(2))
+            depth = 0
+            while isinstance(v, (SetV, Tup)):
+                (v,) = v.members if isinstance(v, SetV) else v.items
+                depth += 1
+            print(depth, v == State(1))
+            print(sys.getrecursionlimit())
+        """)
+        proc = run_fresh("-c", script)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout == "True\nTrue\n3000 True\n1000\n"
 
     def test_reading_converts_each_distinct_form_once(self, monkeypatch):
         # the c07 and c08 texts are trees of 13,972 and 78,823 nodes over

@@ -3,17 +3,14 @@
 import copy
 import dataclasses
 import gc
-import os
 import pickle
 import signal
-import subprocess
-import sys
 import textwrap
 import weakref
-from pathlib import Path
 
 import pytest
 
+from _fresh import run_fresh
 from hopfp import logic
 from hopfp.logic import (
     GROUND,
@@ -258,12 +255,7 @@ class TestMeasures:
             print(check_well_formed(f, ctx) is f, formula_size(f), formula_order(f, ctx))
             print(sys.getrecursionlimit())
         """)
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env
-        )
+        proc = run_fresh("-c", script)
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout == "True %d 1\n1000\n" % (1 + 5 * 2999)
 
