@@ -39,7 +39,7 @@ from .logic import (
     exists_all,
     implies,
 )
-from .machine import LEFT, RIGHT, Configuration, TmSpec, encode_lts, iter_run, run
+from .machine import LEFT, RIGHT, Configuration, TmSpec, encode_lts, run
 from .orders import (
     TowerSpec,
     build_eq,
@@ -496,9 +496,8 @@ def crossval(
         # reached the formula's one fixpoint, and ran it exactly once
         # since its body has no free variables but the set and arguments
         trace = compiled.traces[-1]
-        configs = list(iter_run(machine, word, max_steps))
         first_mismatch = next(
-            (i + 1 for i, cfg in enumerate(configs)
+            (i + 1 for i, cfg in enumerate(result.configs)
              if i + 1 >= len(trace.stages) or trace.stages[i + 1] != encode_stage(ctx, cfg)),
             None,
         )
@@ -507,7 +506,7 @@ def crossval(
         else:
             # a loop that repeats one configuration freezes the stage
             # sequence there; longer loops make the stages cycle
-            entered = configs.index(configs[-1])
+            entered = result.configs.index(result.final)
             loop = result.steps - entered
             want = ("stabilized", entered + 1) if loop == 1 else ("no-fixpoint", None)
         matches = first_mismatch is None and (trace.outcome, trace.stabilized_at) == want

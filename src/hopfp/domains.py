@@ -105,14 +105,14 @@ class Domain:
         return Domain(self.vtype.parts[i], self.n)
 
 
-def tower(n: int, k: int, max_bits: int = DEFAULT_MAX_BITS) -> int:
+def tower(n: int, k: int) -> int:
     """k-fold iterated exponential: tower(n, 0) = n, tower(n, k+1) = 2^tower(n, k)."""
     if n < 0 or k < 0:
         raise ValueError("tower needs n >= 0 and k >= 0")
     out = n
     for _ in range(k):
-        if out > max_bits:
-            raise BudgetError("tower exceeds %d bits" % max_bits)
+        if out > DEFAULT_MAX_BITS:
+            raise BudgetError("tower exceeds %d bits" % DEFAULT_MAX_BITS)
         out = 1 << out
     return out
 

@@ -18,8 +18,9 @@ already in core shape prints back the same up to whitespace.
 
 A printed formula is a tree over a DAG of far fewer distinct nodes, and
 both directions do their Python-level work once per distinct form.  The
-printer builds each distinct node's text once, from its children's, in
-an iterative walk.  The reader interns the shape of every list in one
+printer builds each distinct node's text once, from its children's, and
+each distinct binder type's once, bottom-up from its parts', in
+iterative walks.  The reader interns the shape of every list in one
 pass over the tokens, keeps those shapes instead of the tokens, and
 converts each distinct shape once per context, on an explicit stack: as
 a formula, a type or a value.
@@ -273,13 +274,16 @@ def parse_type(text: str) -> Type:
 
 
 def format_type(t: Type) -> str:
-    if isinstance(t, Ground):
-        return "o"
-    if isinstance(t, Compound):
-        return "(tuple %s)" % " ".join(format_type(p) for p in t.parts)
-    if isinstance(t, SetOf):
-        return "(set %s)" % format_type(t.elem)
-    raise TypeError("not a type: %r" % (t,))
+    """The text of t, built bottom-up: each distinct part's once, from its parts'."""
+    texts: dict = {}
+    for u in _nodes(t):
+        if isinstance(u, Ground):
+            texts[u] = "o"
+        elif isinstance(u, Compound):
+            texts[u] = "(tuple %s)" % " ".join(texts[p] for p in u.parts)
+        else:
+            texts[u] = "(set %s)" % texts[u.elem]
+    return texts[t]
 
 
 # ---------------------------------------------------------------------------
@@ -370,15 +374,16 @@ def format_formula(f: Formula) -> str:
     """Core-shape text; parse_formula(format_formula(f)) is f.
 
     Each distinct node's text is built once, after its children's and
-    from them, so the work is one string per distinct node rather than
-    per tree node; a text is dropped once its last parent is printed.
-    The walk is iterative and needs no raised recursion limit."""
+    from them, and each distinct binder type's once, by format_type; a
+    node's text is dropped once its last parent is printed.  The walks
+    are iterative and need no raised recursion limit."""
     nodes = _nodes(f)
     parents = Counter(k for g in nodes for k in _children(g))
     texts: dict = {}
+    types: dict = {}  # the text of each binder type printed so far
     for g in nodes:
         kids = _children(g)
-        texts[g] = _format(g, [texts[k] for k in kids])
+        texts[g] = _format(g, [texts[k] for k in kids], types)
         for k in kids:
             parents[k] -= 1
             if not parents[k]:
@@ -386,8 +391,8 @@ def format_formula(f: Formula) -> str:
     return texts[f]
 
 
-def _format(f: Formula, parts: list[str]) -> str:
-    """The text of f, given the texts of its children."""
+def _format(f: Formula, parts: list[str], types: dict) -> str:
+    """The text of f, given its children's; types keeps binder types' texts."""
     if isinstance(f, Tru):
         return "tt"
     if isinstance(f, Prop):
@@ -400,10 +405,13 @@ def _format(f: Formula, parts: list[str]) -> str:
         return "(not %s)" % parts[0]
     if isinstance(f, Or):
         return "(or %s %s)" % (parts[0], parts[1])
-    if isinstance(f, Exists):
-        return "(exists ((%s %s)) %s)" % (f.var, format_type(f.vtype), parts[0])
-    if isinstance(f, Pfp):
-        return "(pfp (%s %s) (%s) %s)" % (f.var, format_type(f.vtype), " ".join(f.args), parts[0])
+    if isinstance(f, (Exists, Pfp)):
+        vtype = types.get(f.vtype)
+        if vtype is None:
+            vtype = types[f.vtype] = format_type(f.vtype)
+        if isinstance(f, Exists):
+            return "(exists ((%s %s)) %s)" % (f.var, vtype, parts[0])
+        return "(pfp (%s %s) (%s) %s)" % (f.var, vtype, " ".join(f.args), parts[0])
     raise TypeError("not a formula: %r" % (f,))
 
 

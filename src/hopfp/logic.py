@@ -1,9 +1,9 @@
 """Types and formulas of higher-order logic with partial fixpoints.
 
 Types are built from the ground type (individuals of a transition system)
-by finite products and powersets.  The order of a type is 1 for ground,
-the maximum over the parts for a product, and one more than the element
-order for a powerset.
+by finite products and powersets.  A type's order attribute, set when it
+is built, is 1 for ground, the maximum over the parts for a product, and
+one more than the element order for a powerset.
 
 Formulas are kept in a small core: truth, proposition and action atoms,
 application of a set-typed variable to arguments, negation, disjunction,
@@ -23,8 +23,8 @@ formula shape, checked or not.  check_node holds the typing rule of a
 single node under the types of the names in scope; check_well_formed
 applies it to every node of a formula, and the evaluator's compiler
 applies it to each atom, guard and fixpoint as it compiles them.  The
-walks here (checking, formula_order, formula_size) are iterative, so
-they need no raised recursion limit however deep the formula.
+walks here over a formula or a type are iterative and need no raised
+recursion limit at any depth; only a type's repr, for messages, recurses.
 """
 
 from __future__ import annotations
@@ -74,23 +74,24 @@ class _Node:
     """Interned base of the types and the formula nodes: constructing a node
     with the class and fields of a live one returns it, so == and hash are
     identity, and pickling or copying a node gives the node itself.  Each
-    class's __new__ is written out from its fields, the free-variable
-    expression in its header (formula nodes only) and its __post_init__
-    check, if it has one, as dataclass writes __init__; a generic __new__
-    taking *fields made a new node cost twice as much."""
+    class's __new__ is written out from its fields, its __post_init__
+    check, if it has one, and the derived attributes in its header (free,
+    order), as dataclass writes __init__; a generic __new__ taking *fields
+    made a new node cost twice as much."""
 
     free: frozenset  # free variables of a formula node, set at construction
+    order: int  # order of a type, set at construction
 
-    def __init_subclass__(cls, free: Optional[str] = None, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls, **derived: str) -> None:
+        super().__init_subclass__()
         names = tuple(cls.__dict__.get("__annotations__", ()))
         params = "".join(", %s=%r" % (n, cls.__dict__[n]) if n in cls.__dict__ else ", " + n for n in names)
         fields = "".join(" %s," % n for n in names)
         sets = "".join("\n    object.__setattr__(node, %r, %s)" % (n, n) for n in names)
-        if free is not None:
-            sets += "\n    object.__setattr__(node, 'free', %s)" % free
         if "__post_init__" in cls.__dict__:
             sets += "\n    node.__post_init__()"
+        for name, expr in derived.items():
+            sets += "\n    object.__setattr__(node, %r, %s)" % (name, expr)
         code: dict = {}
         exec(_NEW % (params, fields, sets), globals(), code)
         cls.__new__ = code["__new__"]
@@ -105,13 +106,13 @@ class _Node:
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class Ground(_Node):
+class Ground(_Node, order="1"):
     def __repr__(self) -> str:
         return "o"
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class Compound(_Node):
+class Compound(_Node, order="max(p.order for p in parts)"):
     parts: tuple["Type", ...]
 
     def __post_init__(self) -> None:
@@ -123,7 +124,7 @@ class Compound(_Node):
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class SetOf(_Node):
+class SetOf(_Node, order="elem.order + 1"):
     elem: "Type"
 
     def __repr__(self) -> str:
@@ -133,17 +134,6 @@ class SetOf(_Node):
 Type = Union[Ground, Compound, SetOf]
 
 GROUND = Ground()
-
-
-def order_of(t: Type) -> int:
-    """Order of a type: ground 1, product max, powerset element + 1."""
-    if isinstance(t, Ground):
-        return 1
-    if isinstance(t, Compound):
-        return max(order_of(p) for p in t.parts)
-    if isinstance(t, SetOf):
-        return 1 + order_of(t.elem)
-    raise TypeError("not a type: %r" % (t,))
 
 
 def applied_arg_types(t: Type) -> tuple[Type, ...]:
@@ -365,8 +355,8 @@ def formula_order(f: Formula, ctx: Optional[TypingContext] = None) -> int:
     fixpoint-bound variables of order <= k + 1.  Always at least 1."""
     scope = ctx or {}
     # a fixpoint-bound variable may be one order above the bound k
-    binders = [order_of(g.vtype) - isinstance(g, Pfp) for g in _nodes(f) if isinstance(g, (Exists, Pfp))]
-    return max([1] + [order_of(scope[v]) for v in f.free if v in scope] + binders)
+    binders = [g.vtype.order - isinstance(g, Pfp) for g in _nodes(f) if isinstance(g, (Exists, Pfp))]
+    return max([1] + [scope[v].order for v in f.free if v in scope] + binders)
 
 
 def formula_size(f: Formula) -> int:
@@ -377,9 +367,9 @@ def formula_size(f: Formula) -> int:
     return sizes[f]
 
 
-def _nodes(f: Formula) -> dict:
-    """The distinct nodes of f as the keys of a dict, each after its
-    children, in the order of a depth-first walk, children left to right."""
+def _nodes(f: Union[Formula, Type]) -> dict:
+    """The distinct nodes of f, a formula or a type, as the keys of a dict,
+    each after its children in a depth-first walk, children left to right."""
     seen: dict = {}
     # (node, whether its children are on the stack above it already)
     stack = [(f, False)]
@@ -395,7 +385,8 @@ def _nodes(f: Formula) -> dict:
     return seen
 
 
-def _children(f: Formula) -> tuple:
+def _children(f: Union[Formula, Type]) -> tuple:
+    # types come last, so a walk over a formula never tests for them
     if isinstance(f, (Tru, Prop, Act, Apply)):
         return ()
     if isinstance(f, Not):
@@ -404,4 +395,10 @@ def _children(f: Formula) -> tuple:
         return (f.left, f.right)
     if isinstance(f, (Exists, Pfp)):
         return (f.body,)
-    raise TypeError("not a formula: %r" % (f,))
+    if isinstance(f, Ground):
+        return ()
+    if isinstance(f, Compound):
+        return f.parts
+    if isinstance(f, SetOf):
+        return (f.elem,)
+    raise TypeError("not a formula or a type: %r" % (f,))

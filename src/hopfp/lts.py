@@ -50,12 +50,6 @@ class Lts:
         except ValueError:
             raise ValueError("unknown state %r" % name) from None
 
-    def has_edge(self, src: int, action: str, dst: int) -> bool:
-        return (src, action, dst) in self.edges
-
-    def holds(self, state: int, prop: str) -> bool:
-        return (state, prop) in self.labels
-
 
 def ordered_lts(
     n: int,

@@ -142,8 +142,12 @@ class RunResult:
     accepted: bool
     steps: int
     space: int
-    final: Configuration
+    configs: tuple[Configuration, ...]  # every configuration of the run, in order
     looped: bool = False
+
+    @property
+    def final(self) -> Configuration:
+        return self.configs[-1]
 
 
 def iter_run(spec: TmSpec, word: str, max_steps: Optional[int] = None) -> Iterator[Configuration]:
@@ -168,16 +172,13 @@ def iter_run(spec: TmSpec, word: str, max_steps: Optional[int] = None) -> Iterat
 
 
 def run(spec: TmSpec, word: str, max_steps: Optional[int] = None) -> RunResult:
-    """Simulate to the halting configuration or the first repeat."""
-    steps = -1
-    space = 1
-    conf = None
-    for conf in iter_run(spec, word, max_steps):
-        steps += 1
-        space = max(space, conf.head + 1)
-    looped = not spec.is_halting(conf.state)
-    accepted = conf.state == spec.accept and not looped
-    return RunResult(accepted, steps, space, conf, looped)
+    """Simulate to the halting configuration or the first repeat; keep every configuration."""
+    configs = tuple(iter_run(spec, word, max_steps))
+    final = configs[-1]
+    looped = not spec.is_halting(final.state)
+    accepted = final.state == spec.accept and not looped
+    space = max(c.head for c in configs) + 1
+    return RunResult(accepted, len(configs) - 1, space, configs, looped)
 
 
 def encode_lts(lts: Lts) -> str:

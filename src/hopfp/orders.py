@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count, islice
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .logic import (
     GROUND,
@@ -100,10 +100,10 @@ class TowerSpec:
 
 
 class NameSupply:
-    """Hands out variable names that avoid a reserved set and each other."""
+    """Hands out variable names that avoid each other."""
 
-    def __init__(self, taken: Iterable[str] = ()) -> None:
-        self._taken = set(taken)
+    def __init__(self) -> None:
+        self._taken: set[str] = set()
         self._next: dict[str, int] = {}
 
     def fresh(self, base: str = "z") -> str:

@@ -38,9 +38,9 @@ def _eval(lts: Lts, f, env: dict, scope: dict) -> bool:
     if isinstance(f, Tru):
         return True
     if isinstance(f, Prop):
-        return lts.holds(env[f.var].index, f.prop)
+        return (env[f.var].index, f.prop) in lts.labels
     if isinstance(f, Act):
-        return lts.has_edge(env[f.src].index, f.action, env[f.dst].index)
+        return (env[f.src].index, f.action, env[f.dst].index) in lts.edges
     if isinstance(f, Apply):
         member = _member_of(scope[f.head].elem, [env[a] for a in f.args])
         return member in env[f.head].members

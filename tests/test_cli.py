@@ -287,11 +287,17 @@ def test_domain_size_examples(capsys):
 
 
 def test_recursion_depth_stop_names_the_limit(files, lts_file, capsys):
-    # reading and checking walk iteratively; compiling recurses per level
+    # reading, checking and ordering walk iteratively; compiling recurses
+    # per level
     depth = 2 * max(sys.getrecursionlimit(), RECURSION_LIMIT)
     f = files("deep.hof", "(not " * depth + "tt" + ")" * depth)
     assert run_cli(["typecheck", "--formula", f]) == 0
     assert capsys.readouterr().out == "order: 1\n"
+    # a fresh interpreter keeps the default limit of 1000 frames, which
+    # compiling in this one may have raised
+    g = files("deep-type.hof", "(exists ((x " + "(set " * 3000 + "o" + ")" * 3000 + ")) tt)")
+    proc = run_fresh("-m", "hopfp.cli", "typecheck", "--formula", g)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "order: 3001\n", "")
     assert run_cli(["eval", "--lts", lts_file, "--formula", f]) == 3
     err = capsys.readouterr().err
     assert err.count("budget: recursion depth limit of %d reached" % sys.getrecursionlimit()) == 1

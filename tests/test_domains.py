@@ -41,8 +41,6 @@ class TestTower:
         assert tower(2, 4).bit_length() == 65537
         with pytest.raises(BudgetError):
             tower(2, 5)
-        with pytest.raises(BudgetError):
-            tower(2, 4, max_bits=1000)
 
 
 class TestDomainSize:

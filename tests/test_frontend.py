@@ -210,21 +210,25 @@ class TestFormulaParsing:
         assert format_formula(built) == text
 
     def test_printing_leaves_the_recursion_limit(self):
-        # the printer walks iteratively, so a formula nested far deeper
-        # than the default limit of 1000 frames prints without raising it
+        # the printer walks formulas and types iteratively, and a type
+        # carries its order, so a formula or a binder type nested far
+        # deeper than the default limit of 1000 frames prints, reads
+        # back and is ordered without raising it
         script = textwrap.dedent("""
             import sys
-            from hopfp.frontend import format_formula
-            from hopfp.logic import TT, Not
-            f = TT
+            from hopfp.frontend import format_formula, parse_formula
+            from hopfp.logic import GROUND, TT, Exists, Not, SetOf, formula_order
+            f, t = TT, GROUND
             for _ in range(3000):
-                f = Not(f)
+                f, t = Not(f), SetOf(t)
             print(format_formula(f) == "(not " * 3000 + "tt" + ")" * 3000)
+            g = Exists("x", t, TT)
+            print(parse_formula(format_formula(g)) is g, formula_order(g))
             print(sys.getrecursionlimit())
         """)
         proc = run_fresh("-c", script)
         assert proc.returncode == 0, proc.stderr[-2000:]
-        assert proc.stdout == "True\n1000\n"
+        assert proc.stdout == "True\nTrue 3001\n1000\n"
 
     def test_reading_leaves_the_recursion_limit(self):
         # the readers keep their waiting converters on a list, so forms
@@ -365,15 +369,15 @@ class TestLtsFormat:
         assert T.states == ("a", "b", "c")
         assert T.actions == ("<", "go")
         assert T.props == ("p",)
-        assert T.has_edge(0, "go", 1)
-        assert T.has_edge(0, "<", 2)
-        assert not T.has_edge(2, "<", 0)
-        assert T.holds(2, "p")
+        assert (0, "go", 1) in T.edges
+        assert (0, "<", 2) in T.edges
+        assert (2, "<", 0) not in T.edges
+        assert (2, "p") in T.labels
 
     def test_explicit_order_edges(self):
         T = parse_lts("states: x y\nactions: <\nedge: y < x\n")
-        assert T.has_edge(1, "<", 0)
-        assert not T.has_edge(0, "<", 1)
+        assert (1, "<", 0) in T.edges
+        assert (0, "<", 1) not in T.edges
 
     def test_printer_reads_back(self):
         T = parse_lts(LTS_TEXT)

@@ -38,7 +38,6 @@ from hopfp.logic import (
     formula_order,
     formula_size,
     implies,
-    order_of,
 )
 
 G = GROUND
@@ -47,12 +46,12 @@ GG = Compound((G, G))
 
 class TestTypes:
     def test_orders(self):
-        assert order_of(G) == 1
-        assert order_of(GG) == 1
-        assert order_of(SetOf(G)) == 2
-        assert order_of(Compound((G, SetOf(G)))) == 2
-        assert order_of(SetOf(SetOf(G))) == 3
-        assert order_of(SetOf(Compound((G, SetOf(G))))) == 3
+        assert G.order == 1
+        assert GG.order == 1
+        assert SetOf(G).order == 2
+        assert Compound((G, SetOf(G))).order == 2
+        assert SetOf(SetOf(G)).order == 3
+        assert SetOf(Compound((G, SetOf(G)))).order == 3
 
     def test_empty_compound_rejected(self):
         with pytest.raises(TypingError):

@@ -16,10 +16,10 @@ class TestLts:
         )
         assert T.n == 2
         assert T.state_index("b") == 1
-        assert T.has_edge(0, "go", 1)
-        assert not T.has_edge(1, "go", 0)
-        assert T.holds(1, "p")
-        assert not T.holds(0, "p")
+        assert (0, "go", 1) in T.edges
+        assert (1, "go", 0) not in T.edges
+        assert (1, "p") in T.labels
+        assert (0, "p") not in T.labels
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -45,8 +45,8 @@ class TestOrderedLts:
     def test_extra_vocabulary(self):
         T = ordered_lts(2, actions=("a",), props=("p",), edges=((1, "a", 0),), labels=((0, "p"),))
         assert T.actions == (ORDER_ACTION, "a")
-        assert T.has_edge(1, "a", 0)
-        assert T.holds(0, "p")
+        assert (1, "a", 0) in T.edges
+        assert (0, "p") in T.labels
 
     def test_order_ranks(self):
         T = ordered_lts(4)

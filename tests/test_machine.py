@@ -110,6 +110,8 @@ class TestRuns:
         out = run(M_LOOP, "1")
         assert out.looped
         assert not out.accepted
+        # the run ends at the first repeat, which it keeps
+        assert out.final in out.configs[:-1]
 
     def test_step_budget(self):
         with pytest.raises(BudgetError):
@@ -118,6 +120,7 @@ class TestRuns:
     def test_iter_run_lists_all_configurations(self):
         confs = list(iter_run(M_SWEEP, "11"))
         assert len(confs) == run(M_SWEEP, "11").steps + 1
+        assert run(M_SWEEP, "11").configs == tuple(confs)
         assert confs[0] == Configuration("q0", 0, ("1", "1"))
         assert confs[-1].state == "qa"
 

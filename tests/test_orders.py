@@ -40,9 +40,11 @@ def slot_ctx(spec, names):
 
 class TestNameSupply:
     def test_avoids_taken_names(self):
-        s = NameSupply(taken=("z0", "z2"))
-        assert s.fresh("z") == "z1"
-        assert s.fresh("z") == "z3"
+        # a name handed out under one base is skipped under another
+        s = NameSupply()
+        assert s.fresh("z1") == "z10"
+        assert [s.fresh("z") for _ in range(10)] == ["z%d" % i for i in range(10)]
+        assert s.fresh("z") == "z11"
         assert s.fresh("w") == "w0"
 
     def test_slot_arities(self):
