@@ -28,7 +28,6 @@ from .domains import (
     Tup,
     canonical_compare,
     canonical_index,
-    canonical_successor,
     domain_size,
     index_to_value,
     iter_domain,
@@ -75,12 +74,11 @@ from .logic import (
     formula_size,
 )
 from .lts import Lts, ordered_lts
-from .machine import Configuration, RunResult, TmSpec, encode_lts, iter_run, run
+from .machine import Configuration, RunResult, TmSpec, encode_lts, run
 from .orders import (
     NameSupply,
     TowerSpec,
     build_eq,
-    build_index,
     build_lt,
     build_succ,
     build_total_order_axiom,

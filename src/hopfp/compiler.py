@@ -160,8 +160,8 @@ class CodingContext:
         return self.n * self.cells * self.cells * self.n
 
     def index(self, spec: TowerSpec, j: int, slot: tuple) -> Formula:
-        """build_index(spec, j, slot), read off the slot's one iter_index
-        pass, where each build_index call would restart it at j = 0."""
+        """The formula for "slot holds the j-th value of the level", read
+        off the slot's one iter_index pass, which no call restarts."""
         got = self.passes.get((spec, slot))
         if got is None:
             got = self.passes[spec, slot] = ([], iter_index(spec, slot))

@@ -11,12 +11,13 @@ a bijection with [0, cardinality):
   * a set is read as a binary number over element indices, largest
     member most significant (the empty set is 0).
 
-This bijection is the only definition of the order: successor and
-enumeration decode indices, so iteration streams through a domain
-without ever materializing it.  Comparing two values stays structural,
-because a value carries no domain.  Cardinalities are exact big
-integers, guarded by a bit-length budget because set domains grow as a
-tower of exponentials.
+This bijection is the only definition of the order: enumeration
+decodes indices, so iteration streams through a domain without ever
+materializing it, and a value's successor is the value at its index
+plus one.  Comparing two values stays structural, because a value
+carries no domain.  Cardinalities are exact big integers, computed
+bottom-up over a type's parts and guarded by a bit-length budget
+because set domains grow as a tower of exponentials.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Iterator, Optional, Union
 
-from .logic import Compound, Ground, SetOf, Type
+from .logic import Compound, Ground, SetOf, Type, _nodes
 
 DEFAULT_MAX_BITS = 1 << 20
 DEFAULT_ENUM_BUDGET = 1 << 24
@@ -96,14 +97,6 @@ class Domain:
         if self.n < 1:
             raise ConformanceError("domain needs at least one state, got n=%d" % self.n)
 
-    def elem(self) -> "Domain":
-        assert isinstance(self.vtype, SetOf)
-        return Domain(self.vtype.elem, self.n)
-
-    def part(self, i: int) -> "Domain":
-        assert isinstance(self.vtype, Compound)
-        return Domain(self.vtype.parts[i], self.n)
-
 
 def tower(n: int, k: int) -> int:
     """k-fold iterated exponential: tower(n, 0) = n, tower(n, k+1) = 2^tower(n, k)."""
@@ -123,21 +116,29 @@ def domain_size(d: Domain) -> int:
 
 
 def _size(t: Type, n: int) -> int:
+    """The size of t's domain, built bottom-up from its distinct parts'
+    sizes, so that no depth of t recurses."""
     if isinstance(t, Ground):
         return n
-    if isinstance(t, Compound):
-        out = 1
-        for p in t.parts:
-            out *= _size(p, n)
-            if out.bit_length() > DEFAULT_MAX_BITS:
+    sizes: dict = {}
+    for u in _nodes(t):
+        if isinstance(u, Ground):
+            sizes[u] = n
+        elif isinstance(u, Compound):
+            out = 1
+            for p in u.parts:
+                out *= sizes[p]
+                if out.bit_length() > DEFAULT_MAX_BITS:
+                    raise BudgetError("domain size exceeds %d bits" % DEFAULT_MAX_BITS)
+            sizes[u] = out
+        elif isinstance(u, SetOf):
+            inner = sizes[u.elem]
+            if inner > DEFAULT_MAX_BITS:
                 raise BudgetError("domain size exceeds %d bits" % DEFAULT_MAX_BITS)
-        return out
-    if isinstance(t, SetOf):
-        inner = _size(t.elem, n)
-        if inner > DEFAULT_MAX_BITS:
-            raise BudgetError("domain size exceeds %d bits" % DEFAULT_MAX_BITS)
-        return 1 << inner
-    raise TypeError("not a type: %r" % (t,))
+            sizes[u] = 1 << inner
+        else:
+            raise TypeError("not a type: %r" % (u,))
+    return sizes[t]
 
 
 def canonical_index(d: Domain, v: Value) -> int:
@@ -151,14 +152,14 @@ def canonical_index(d: Domain, v: Value) -> int:
         if not isinstance(v, Tup) or len(v.items) != len(t.parts):
             raise ConformanceError("%r does not fit compound type %r" % (v, t))
         idx = 0
-        for i, item in enumerate(v.items):
-            sub = d.part(i)
+        for p, item in zip(t.parts, v.items):
+            sub = Domain(p, d.n)
             idx = idx * domain_size(sub) + canonical_index(sub, item)
         return idx
     if isinstance(t, SetOf):
         if not isinstance(v, SetV):
             raise ConformanceError("%r does not fit set type %r" % (v, t))
-        sub = d.elem()
+        sub = Domain(t.elem, d.n)
         idx = 0
         seen = set()
         for m in v.members:
@@ -232,12 +233,6 @@ def canonical_compare(u: Value, v: Value) -> int:
             return -1
         return 0
     raise ConformanceError("cannot compare %r with %r" % (u, v))
-
-
-def canonical_successor(d: Domain, v: Value) -> Optional[Value]:
-    """Immediate successor in canonical order, or None at the maximum."""
-    idx = canonical_index(d, v) + 1
-    return _decode(d.vtype, d.n, idx) if idx < domain_size(d) else None
 
 
 def iter_domain(d: Domain, budget: Optional[int] = DEFAULT_ENUM_BUDGET) -> Iterator[Value]:

@@ -281,8 +281,10 @@ def format_type(t: Type) -> str:
             texts[u] = "o"
         elif isinstance(u, Compound):
             texts[u] = "(tuple %s)" % " ".join(texts[p] for p in u.parts)
-        else:
+        elif isinstance(u, SetOf):
             texts[u] = "(set %s)" % texts[u.elem]
+        else:
+            raise TypeError("not a type: %r" % (u,))
     return texts[t]
 
 

@@ -15,7 +15,7 @@ one plus the largest head position.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 from .domains import BudgetError
 from .lts import Lts
@@ -150,35 +150,25 @@ class RunResult:
         return self.configs[-1]
 
 
-def iter_run(spec: TmSpec, word: str, max_steps: Optional[int] = None) -> Iterator[Configuration]:
-    """Configurations of the run, ending after the first halting one.
+def run(spec: TmSpec, word: str, max_steps: Optional[int] = None) -> RunResult:
+    """Simulate to the halting configuration or the first repeat; keep every configuration.
 
-    A machine that revisits a configuration loops forever; the iterator
-    stops at the first repeat.
+    A machine that revisits a configuration loops forever; the run stops
+    at the first repeat, which it keeps as its last configuration.
     """
     conf = spec.initial_configuration(word)
-    yield conf
-    seen = {conf}
-    steps = 0
+    configs, seen = [conf], {conf}
     while not spec.is_halting(conf.state):
-        if max_steps is not None and steps >= max_steps:
+        if max_steps is not None and len(configs) > max_steps:
             raise BudgetError("run exceeded %d steps" % max_steps)
         conf = spec.step(conf)
-        steps += 1
-        yield conf
+        configs.append(conf)
         if conf in seen:
-            return
+            break
         seen.add(conf)
-
-
-def run(spec: TmSpec, word: str, max_steps: Optional[int] = None) -> RunResult:
-    """Simulate to the halting configuration or the first repeat; keep every configuration."""
-    configs = tuple(iter_run(spec, word, max_steps))
-    final = configs[-1]
-    looped = not spec.is_halting(final.state)
-    accepted = final.state == spec.accept and not looped
+    looped = not spec.is_halting(conf.state)
     space = max(c.head for c in configs) + 1
-    return RunResult(accepted, len(configs) - 1, space, configs, looped)
+    return RunResult(conf.state == spec.accept, len(configs) - 1, space, tuple(configs), looped)
 
 
 def encode_lts(lts: Lts) -> str:

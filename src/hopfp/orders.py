@@ -35,7 +35,7 @@ level for iter_index, whose steps are build_succ's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import count
 from typing import Iterator, Optional
 
 from .logic import (
@@ -211,31 +211,20 @@ def build_succ(spec: TowerSpec, a: Slot, b: Slot) -> Formula:
     )
 
 
-def build_index(spec: TowerSpec, j: int, names: Slot) -> Formula:
-    """The slot holds the j-th value of the level in canonical order.
-
-    Size grows linearly with j: the zero case says the value is the
-    least one (see iter_index), and each step asserts a successor of a
-    witness for j - 1.  Each call walks iter_index from j = 0, so it
-    costs O(j); a caller that needs several indices of one slot should
-    take them from one iter_index pass instead.
-    """
-    if j < 0:
-        raise ValueError("index must not be negative")
-    return next(islice(iter_index(spec, names), j, None))
-
-
 def iter_index(spec: TowerSpec, names: Slot) -> Iterator[Formula]:
-    """build_index of the slot for j = 0, 1, 2, ... in turn.
+    """For j = 0, 1, 2, ... in turn: the slot holds the j-th value of the
+    level in canonical order.
 
-    Index 0 says, at level 1, that nothing lies below the slot and, from
-    level 2 on, that the slot has no member: the least set is the empty
-    one, and a guarded block tests that without reading the order.  The
-    witness for j - 1 is named by the parity of j, so the formula
-    for j - 1 at that name, the spine, is one node for every slot, and
-    its successor steps alternate between just two nodes.  That matters
-    to the evaluator, which keeps a memo table per distinct successor
-    node.  The spine is extended by one step per formula, never rebuilt.
+    Each formula asserts a successor of a witness for j - 1, so its size
+    grows linearly with j.  Index 0 says, at level 1, that nothing lies
+    below the slot and, from level 2 on, that the slot has no member:
+    the least set is the empty one, and a guarded block tests that
+    without reading the order.  The witness for j - 1 is named by the
+    parity of j, so the formula for j - 1 at that name, the spine, is
+    one node for every slot, and its successor steps alternate between
+    just two nodes.  That matters to the evaluator, which keeps a memo
+    table per distinct successor node.  The spine is extended by one
+    step per formula, never rebuilt.
     """
     pair = y, u = (_bound_slot(spec, "y", names), _bound_slot(spec, "u", names))
     if spec.level == 1:

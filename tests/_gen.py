@@ -104,7 +104,8 @@ def scoped_instance(rng: random.Random):
 
 
 def random_tm(rng: random.Random) -> TmSpec:
-    """A total machine with a couple of working states."""
+    """A total machine with a couple of working states, starting in one
+    of them when it has any."""
     extra = rng.randint(0, 2)
     states = tuple("q%d" % i for i in range(extra)) + ("qa", "qr")
     tape = tuple("01#"[: rng.randint(1, 3)]) + ("_",)
@@ -118,7 +119,7 @@ def random_tm(rng: random.Random) -> TmSpec:
         input_alphabet=inputs,
         tape_alphabet=tape,
         blank="_",
-        init=rng.choice(states),
+        init=rng.choice(states[:extra] or states),
         accept="qa",
         reject="qr",
         delta=delta,

@@ -54,7 +54,7 @@ from hopfp.logic import (
 )
 from hopfp.lts import ordered_lts
 from hopfp.machine import Configuration, TmSpec
-from hopfp.orders import NameSupply, TowerSpec, build_index, build_lt
+from hopfp.orders import NameSupply, TowerSpec, build_lt, iter_index
 
 from _gen import random_lts, random_tm, scoped_instance
 from _machines import M_ACC, M_ACC2, M_ACC4, M_FIRST1, M_LASTPROP, M_REJ, M_SWEEP
@@ -147,8 +147,7 @@ def test_c03_index_formulas_pick_out_single_elements():
         system = ordered_lts(n)
         values = list(iter_domain(Domain(spec.value_type, n)))
         sizes = []
-        for j in range(len(values)):
-            idx = build_index(spec, j, ("x",))
+        for j, idx in zip(range(len(values)), iter_index(spec, ("x",))):
             sizes.append(formula_size(idx))
             compiled = compile_formula(system, idx, _slot_ctx(spec, ("x",)))
             holders = [
@@ -192,7 +191,7 @@ def test_c04_fixpoint_algebra_and_reachability():
                 if b not in seen:
                     seen.add(b)
                     frontier.append(b)
-        start = build_index(TowerSpec(1, 1), 0, ("y",))
+        start = next(iter_index(TowerSpec(1, 1), ("y",)))
         grow = Exists("x", GROUND, and_(Apply("R", ("x",)), Act("e", "x", "y")))
         reach = Pfp("R", SetOf(GROUND), Or(start, grow), ("y",))
         trace = pfp_iterate(system, reach)

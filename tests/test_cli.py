@@ -309,6 +309,17 @@ def test_domain_size_budget(capsys):
     assert "budget:" in capsys.readouterr().err
 
 
+def test_deep_domain_size_is_a_size_budget_stop():
+    # sizes are built bottom-up, so a type deeper than the default limit
+    # of 1000 frames stops on its size, not on the recursion depth; a
+    # fresh interpreter keeps that limit, which compiling here may raise
+    t = "(set " * 1500 + "o" + ")" * 1500
+    code = "import sys; from hopfp.cli import run_cli; sys.exit(run_cli(sys.argv[1:]))"
+    proc = run_fresh("-c", code, "domain-size", "--type", t, "--n", "2")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "budget: domain size exceeds 1048576 bits\n"
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
 def test_domain_size_past_the_digit_limit_is_a_budget_stop(capsys):
     # 2^(2^13) has 2,467 decimal digits and 2^(2^14) 4,933

@@ -5,8 +5,11 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hopfp import compiler, logic, orders
 from hopfp.compiler import (
@@ -25,7 +28,7 @@ from hopfp.compiler import (
     encode_stage,
     resolve_case,
 )
-from hopfp.domains import Domain, State, index_to_value, make_set
+from hopfp.domains import BudgetError, Domain, State, index_to_value, make_set
 from hopfp.evaluator import compile_formula, evaluate
 from hopfp.frontend import format_formula
 from hopfp.logic import (
@@ -38,8 +41,9 @@ from hopfp.logic import (
     formula_size,
 )
 from hopfp.lts import Lts, ordered_lts
-from hopfp.machine import Configuration, iter_run
+from hopfp.machine import Configuration, TmSpec, run
 
+from _gen import random_tm
 from _machines import (
     M_ACC,
     M_ACC2,
@@ -238,7 +242,7 @@ def test_stage_function_follows_the_run():
     word = "111"
     stage = build_stage_fixpoint(ctx, word)
     cur = frozenset()
-    for cfg in iter_run(M_SWEEP, word):
+    for cfg in run(M_SWEEP, word).configs:
         cur = stage_image(ctx.lts, stage, cur)
         assert cur == encode_stage(ctx, cfg)
     # halting configurations keep themselves through their self loops
@@ -265,7 +269,7 @@ def test_perturbed_stages_never_invent_reachable_looking_runs():
     rng = random.Random(7)
     for machine, word in [(M_FIRST1, "10"), (M_SWEEP, "11")]:
         ctx = _ctx(machine, 3)
-        reachable = list(iter_run(machine, word))
+        reachable = run(machine, word).configs
         base = encode_stage(ctx, machine.initial_configuration(word))
         for _ in range(8):
             members = set(base)
@@ -396,6 +400,66 @@ def test_crossval_on_looping_machines():
 def test_crossval_agreement_on_parity():
     for word in ["", "1", "01", "111", "1010"]:
         assert crossval(M_PARITY, P11, word=word, n=4).agree
+
+
+def _crossval_or_skip(machine, word):
+    """The stage-checked report of a case at P11, or why it cannot run:
+    "cells" if the run needs more cells than the coding has, "steps" if
+    it runs past 500 steps."""
+    try:
+        return crossval(machine, P11, word=word, check_stages=True, max_steps=500)
+    except PreconditionError as err:
+        if "cells" not in str(err):
+            raise
+        return "cells"
+    except BudgetError:
+        return "steps"
+
+
+def test_random_machines_replay_stage_by_stage():
+    rng = random.Random(20261021)
+    skipped = Counter()
+    for _ in range(400):
+        machine = random_tm(rng)
+        length = rng.randint(0, 5) if machine.input_alphabet else 0
+        word = "".join(rng.choice(machine.input_alphabet) for _ in range(length))
+        rep = _crossval_or_skip(machine, word)
+        if isinstance(rep, str):
+            skipped[rep] += 1
+        else:
+            assert rep.agree and rep.stages_match, (machine, word, rep)
+    # 386 of the 400 cases are checked
+    assert skipped == {"cells": 4, "steps": 10}
+
+
+@st.composite
+def machine_cases(draw):
+    """A machine of random_tm's shape and a word for it; a failing case
+    shrinks to fewer working states, fewer symbols and a shorter word."""
+    extra = draw(st.integers(0, 2))
+    states = tuple("q%d" % i for i in range(extra)) + ("qa", "qr")
+    tape = tuple("01#"[: draw(st.integers(1, 3))]) + ("_",)
+    rule = st.tuples(st.sampled_from(states), st.sampled_from(tape), st.sampled_from("NLR"))
+    delta = {(q, s): draw(rule) for q in states[:extra] for s in tape}
+    init = draw(st.sampled_from(states[:extra] or states))
+    machine = TmSpec(states, tape[:-1], tape, "_", init, "qa", "qr", delta)
+    return machine, draw(st.text(tape[:-1], max_size=5))
+
+
+@pytest.fixture(scope="module")
+def compiled_once():
+    # compiling raises the recursion limit for good; Hypothesis warns when
+    # the limit changes inside a test, so raise it before the first one
+    compile_formula(ordered_lts(1), logic.TT)
+
+
+@pytest.mark.usefixtures("compiled_once")
+@given(case=machine_cases())
+@settings(max_examples=100, deadline=None)
+def test_random_machine_cases_replay_stage_by_stage(case):
+    rep = _crossval_or_skip(*case)
+    assume(not isinstance(rep, str))
+    assert rep.agree and rep.stages_match, rep
 
 
 def test_height_two_geometry():

@@ -149,6 +149,11 @@ class TestTypes:
         for t in (G, SetOf(G), Compound((G, SetOf(SetOf(G)))), SetOf(Compound((G, G)))):
             assert parse_type(format_type(t)) == t
 
+    def test_formatting_a_formula_is_a_type_error(self):
+        for f in (TT, Exists("x", G, TT)):
+            with pytest.raises(TypeError, match="not a type"):
+                format_type(f)
+
     def test_errors(self):
         for text, message, span in TYPE_ERRORS:
             assert_parse_error(parse_type, text, message, span)

@@ -8,7 +8,7 @@ import pytest
 from _machines import M_ACC, M_FIRST1, M_LOOP, M_PARITY, M_REJ, M_SWEEP, _tm
 from hopfp.domains import BudgetError
 from hopfp.lts import ordered_lts
-from hopfp.machine import Configuration, TmSpec, encode_lts, iter_run, run
+from hopfp.machine import Configuration, TmSpec, encode_lts, run
 
 
 class TestSpecValidation:
@@ -116,12 +116,18 @@ class TestRuns:
     def test_step_budget(self):
         with pytest.raises(BudgetError):
             run(M_SWEEP, "1" * 10, max_steps=5)
+        # the budget bounds the steps taken: a run of exactly that many passes
+        steps = run(M_SWEEP, "11").steps
+        assert run(M_SWEEP, "11", max_steps=steps).steps == steps
+        with pytest.raises(BudgetError):
+            run(M_SWEEP, "11", max_steps=steps - 1)
 
     def test_iter_run_lists_all_configurations(self):
-        confs = list(iter_run(M_SWEEP, "11"))
-        assert len(confs) == run(M_SWEEP, "11").steps + 1
-        assert run(M_SWEEP, "11").configs == tuple(confs)
+        out = run(M_SWEEP, "11")
+        confs = out.configs
+        assert len(confs) == out.steps + 1
         assert confs[0] == Configuration("q0", 0, ("1", "1"))
+        assert all(M_SWEEP.step(a) == b for a, b in zip(confs, confs[1:]))
         assert confs[-1].state == "qa"
 
 

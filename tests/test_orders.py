@@ -13,7 +13,6 @@ from hopfp.orders import (
     NameSupply,
     TowerSpec,
     build_eq,
-    build_index,
     build_lt,
     build_succ,
     build_total_order_axiom,
@@ -26,6 +25,11 @@ T31 = TowerSpec(3, 1)
 T12 = TowerSpec(1, 2)
 T22 = TowerSpec(2, 2)
 T13 = TowerSpec(1, 3)
+
+
+def index(spec, j, slot):
+    """The j-th formula of the slot's iter_index pass."""
+    return next(islice(iter_index(spec, slot), j, None))
 
 
 def slot_env(spec, names, value):
@@ -111,7 +115,7 @@ def test_index_formulas_are_exact(spec, n):
     ctx = slot_ctx(spec, a)
     picks = range(len(values)) if len(values) <= 16 else [0, 1, len(values) - 1]
     for j in picks:
-        f = build_index(spec, j, a)
+        f = index(spec, j, a)
         for i, u in enumerate(values):
             got = evaluate(T, f, env=slot_env(spec, a, u), ctx=ctx)
             assert got == (i == j), (j, u)
@@ -120,7 +124,7 @@ def test_index_formulas_are_exact(spec, n):
 @pytest.mark.parametrize("spec", [T11, T21, T12])
 def test_index_size_grows_linearly(spec):
     a = NameSupply().slot(spec, "a")
-    sizes = [formula_size(build_index(spec, j, a)) for j in range(2, 9)]
+    sizes = [formula_size(index(spec, j, a)) for j in range(2, 9)]
     deltas = {sizes[i + 1] - sizes[i] for i in range(len(sizes) - 1)}
     assert len(deltas) == 1
 
@@ -138,7 +142,7 @@ def test_nested_builds_stay_capture_free():
 
     # a succ and an index formula over one slot
     a, b = ("a",), ("b",)
-    f = and_(build_succ(T12, a, b), build_index(T12, 2, b))
+    f = and_(build_succ(T12, a, b), index(T12, 2, b))
     assert_agrees(T12, a, b, f, lambda i, j: j == 2 and i == 1)
     # slots named like the bound names of the comparison one level down
     a, b = ("1z",), ("1w",)
@@ -154,7 +158,7 @@ def test_set_equality_and_the_least_set_read_no_order(spec, n):
     ctx = {**slot_ctx(spec, a), **slot_ctx(spec, b)}
     values = list(iter_domain(Domain(spec.value_type, n)))
     f_eq = build_eq(spec, a, b)
-    f_zero = build_index(spec, 0, a)
+    f_zero = index(spec, 0, a)
     for u in values:
         assert evaluate(T, f_zero, env={"a": u}, ctx=ctx) == (not u.members), u
         for v in values:
@@ -171,12 +175,12 @@ def test_equal_requests_build_one_node():
         return f.body.sub.left.sub
 
     for j in (1, 2, 5):
-        assert spine(build_index(T12, j, a)) is spine(build_index(T12, j, b))
+        assert spine(index(T12, j, a)) is spine(index(T12, j, b))
     # the spine of j is the index formula of j - 1 at the witness name,
     # whose own spine is that of j - 1 at any slot
-    assert spine(spine(build_index(T12, 5, a))) is spine(build_index(T12, 4, b))
+    assert spine(spine(index(T12, 5, a))) is spine(index(T12, 4, b))
     got = list(islice(iter_index(T21, a + b), 6))
-    assert all(f is build_index(T21, j, a + b) for j, f in enumerate(got))
+    assert all(f is index(T21, j, a + b) for j, f in enumerate(got))
 
 
 @pytest.mark.parametrize(
@@ -186,8 +190,8 @@ def test_equal_requests_build_one_node():
         lambda: build_lt(T22, ("a",), ("1w'",)),
         lambda: build_eq(T13, ("b",), ("2z",)),
         lambda: build_succ(T12, ("2v",), ("b",)),
-        lambda: build_index(T12, 3, ("2y",)),
-        lambda: build_index(T21, 0, ("b", "1u'")),
+        lambda: index(T12, 3, ("2y",)),
+        lambda: index(T21, 0, ("b", "1u'")),
         # the names the set-level successor binds, and the level-1 one's
         lambda: build_succ(T12, ("1z",), ("b",)),
         lambda: build_succ(T22, ("a",), ("1w'",)),
@@ -195,8 +199,8 @@ def test_equal_requests_build_one_node():
         # set-level equality binds z and reserves w
         lambda: build_eq(T12, ("1w",), ("b",)),
         # index 0 binds y at level 1 and z one level down from level 2 on
-        lambda: build_index(T11, 0, ("1y",)),
-        lambda: build_index(T12, 0, ("1z",)),
+        lambda: index(T11, 0, ("1y",)),
+        lambda: index(T12, 0, ("1z",)),
     ],
 )
 def test_slot_clashing_with_a_bound_name_raises(build):
