@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 from .compiler import ReductionParams, build_machine_formula, crossval, resolve_case
@@ -64,16 +65,6 @@ def _emit(text: str, path: Optional[str]) -> None:
             handle.write(text + "\n")
 
 
-def _stats_record(stats: EvalStats) -> str:
-    return json.dumps(
-        {
-            "pfp_iterations": stats.pfp_iterations,
-            "subformula_evals": stats.subformula_evals,
-            "peak_live_values": stats.peak_live_values,
-        }
-    )
-
-
 def _parse_env(pairs, lts):
     env = {}
     ctx = {}
@@ -116,7 +107,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     )
     print("true" if verdict else "false")
     if args.stats:
-        print(_stats_record(stats))
+        print(json.dumps(asdict(stats)))
     return 0 if verdict else 1
 
 
@@ -167,7 +158,7 @@ def cmd_crossval(args: argparse.Namespace) -> int:
             print("first mismatch at stage %d" % report.first_mismatch)
     if args.stats:
         print(json.dumps(report.to_record()))
-        print(_stats_record(stats))
+        print(json.dumps(asdict(stats)))
     return 0 if report.agree else 1
 
 

@@ -39,7 +39,7 @@ from .logic import (
     exists_all,
     implies,
 )
-from .machine import LEFT, RIGHT, Configuration, TmSpec, encode_lts, run
+from .machine import LEFT, RIGHT, Configuration, TmSpec, _trim, encode_lts, run
 from .orders import (
     TowerSpec,
     build_eq,
@@ -237,10 +237,7 @@ def decode_stage(ctx: CodingContext, members: Iterable[int]) -> Configuration:
                 4, "symbol code %d at cell %d names no tape symbol" % (content[j], j)
             )
     tape = tuple(m.tape_alphabet[content[j]] for j in range(cells))
-    end = cells
-    while end > 0 and tape[end - 1] == m.blank:
-        end -= 1
-    return Configuration(m.states[min(states)], min(heads), tape[:end])
+    return Configuration(m.states[min(states)], min(heads), _trim(tape, m.blank))
 
 
 # -- formula builders -------------------------------------------------------
@@ -330,8 +327,7 @@ def build_trans(ctx: CodingContext) -> Formula:
         ),
     )
     blocks = []
-    order = lambda kv: (m.state_index(kv[0][0]), m.symbol_index(kv[0][1]))
-    for (q, sym), (q2, sym2, move) in sorted(m.delta.items(), key=order):
+    for (q, sym), (q2, sym2, move) in m.delta.items():
         matches = and_(
             _code_eq(ctx, xq, m.state_index(q)),
             _code_eq(ctx, xs, m.symbol_index(sym)),

@@ -119,8 +119,9 @@ class EvalStats:
     across its whole domain.
     """
 
-    subformula_evals: int = 0
+    # in the key order of the --stats record, which is asdict(stats)
     pfp_iterations: int = 0
+    subformula_evals: int = 0
     peak_live_values: int = 0
 
 
@@ -760,7 +761,7 @@ def pfp_iterate(
     evaluate.
     """
     if not isinstance(f, Pfp):
-        raise TypeError("not a fixpoint binder: %r" % (f,))
+        raise TypeError("not a fixpoint binder: %s" % type(f).__name__)
     declared = dict(ctx) if ctx else {}
     bound = dict(env) if env else {}
     if isinstance(f.vtype, SetOf):

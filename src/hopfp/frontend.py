@@ -650,9 +650,6 @@ def format_tm(spec: TmSpec) -> str:
     out.append("init: %s" % spec.init)
     out.append("accept: %s" % spec.accept)
     out.append("reject: %s" % spec.reject)
-    qi = {q: i for i, q in enumerate(spec.states)}
-    si = {s: i for i, s in enumerate(spec.tape_alphabet)}
-    rules = sorted(spec.delta.items(), key=lambda kv: (qi[kv[0][0]], si[kv[0][1]]))
-    for (q, s), (q2, s2, move) in rules:
+    for (q, s), (q2, s2, move) in spec.delta.items():
         out.append("delta: %s %s -> %s %s %s" % (q, s, q2, s2, move))
     return "\n".join(out) + "\n"

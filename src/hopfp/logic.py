@@ -24,7 +24,8 @@ single node under the types of the names in scope; check_well_formed
 applies it to every node of a formula, and the evaluator's compiler
 applies it to each atom, guard and fixpoint as it compiles them.  The
 walks here over a formula or a type are iterative and need no raised
-recursion limit at any depth; only a type's repr, for messages, recurses.
+recursion limit at any depth.  The repr of a node or a type is its text
+in the reader's syntax, printed by frontend.
 """
 
 from __future__ import annotations
@@ -97,6 +98,13 @@ class _Node:
         cls.__new__ = code["__new__"]
         cls.__new__.__qualname__ = cls.__qualname__ + ".__new__"
 
+    def __repr__(self) -> str:
+        # the reader's syntax is the one text of a node or a type, and
+        # frontend alone decides it
+        from .frontend import format_formula, format_type
+
+        return format_type(self) if isinstance(self, (Ground, Compound, SetOf)) else format_formula(self)
+
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
 
@@ -105,13 +113,12 @@ class _Node:
 # Types
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Ground(_Node, order="1"):
-    def __repr__(self) -> str:
-        return "o"
+    pass
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Compound(_Node, order="max(p.order for p in parts)"):
     parts: tuple["Type", ...]
 
@@ -119,16 +126,10 @@ class Compound(_Node, order="max(p.order for p in parts)"):
         if not self.parts:
             raise TypingError("compound type needs at least one part")
 
-    def __repr__(self) -> str:
-        return "(" + " x ".join(repr(p) for p in self.parts) + ")"
 
-
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class SetOf(_Node, order="elem.order + 1"):
     elem: "Type"
-
-    def __repr__(self) -> str:
-        return "set(%r)" % (self.elem,)
 
 
 Type = Union[Ground, Compound, SetOf]
@@ -153,42 +154,42 @@ def applied_arg_types(t: Type) -> tuple[Type, ...]:
 # Formulas (core)
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Tru(_Node, free="frozenset()"):
     pass
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Prop(_Node, free="frozenset((var,))"):
     prop: str
     var: str
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Act(_Node, free="frozenset((src, dst))"):
     action: str
     src: str
     dst: str
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Apply(_Node, free="frozenset((head,) + args)"):
     head: str
     args: tuple[str, ...]
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Not(_Node, free="sub.free"):
     sub: "Formula"
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Or(_Node, free="left.free | right.free"):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Exists(_Node, free="body.free - {var}"):
     var: str
     vtype: Type
@@ -196,7 +197,7 @@ class Exists(_Node, free="body.free - {var}"):
 
 
 # fixpoint argument occurrences are free
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Pfp(_Node, free="(body.free - {var}) | frozenset(args)"):
     var: str
     vtype: Type

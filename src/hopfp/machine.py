@@ -71,13 +71,15 @@ class TmSpec:
                 got = table.setdefault((q, s), want)
                 if got != want:
                     raise ValueError("halting state %r must keep its configuration" % q)
+        # the rules in declaration order, by state and then by symbol, the
+        # order in which build_trans conjoins them and format_tm prints them
+        delta = {}
         for q in self.states:
-            if q in (self.accept, self.reject):
-                continue
             for s in self.tape_alphabet:
                 if (q, s) not in table:
                     raise ValueError("transition table misses (%r, %r)" % (q, s))
-        object.__setattr__(self, "delta", table)
+                delta[q, s] = table[q, s]
+        object.__setattr__(self, "delta", delta)
 
     def is_halting(self, q: str) -> bool:
         return q in (self.accept, self.reject)

@@ -140,7 +140,7 @@ def test_eval_reports_the_checker_first_typing_error(files, lts_file, capsys):
                            "(exists ((x o) (y o)) (and (app S x y) (prop p Z) (app x y)))))")
     for f, err in (
         (behind_budget, "error: unbound variable 'y' in proposition atom\n"),
-        (block, "error: proposition 'p' needs a ground variable, 'Z' has type set(o)\n"),
+        (block, "error: proposition 'p' needs a ground variable, 'Z' has type (set o)\n"),
     ):
         assert run_cli(["eval", "--lts", lts_file, "--formula", f, "--budget", "100"]) == 2
         assert capsys.readouterr().err == err
@@ -301,6 +301,16 @@ def test_recursion_depth_stop_names_the_limit(files, lts_file, capsys):
     assert run_cli(["eval", "--lts", lts_file, "--formula", f]) == 3
     err = capsys.readouterr().err
     assert err.count("budget: recursion depth limit of %d reached" % sys.getrecursionlimit()) == 1
+
+
+def test_deep_typing_error_is_reported(files):
+    # the message prints the type bottom-up, so a fresh interpreter at
+    # the default limit of 1000 frames reports it
+    t = "(set " * 3000 + "o" + ")" * 3000
+    f = files("deep-ill-typed.hof", "(exists ((Z " + t + ")) (prop p Z))")
+    proc = run_fresh("-m", "hopfp.cli", "typecheck", "--formula", f)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: proposition 'p' needs a ground variable, 'Z' has type %s\n" % t
 
 
 def test_domain_size_budget(capsys):

@@ -150,7 +150,7 @@ class TestBasics:
         for f, ctx, first in (
             (behind_budget, None, "unbound variable 'y' in proposition atom"),
             (block, {"S": SetOf(GG), "Z": SetOf(G)},
-             "proposition 'p' needs a ground variable, 'Z' has type set(o)"),
+             "proposition 'p' needs a ground variable, 'Z' has type (set o)"),
         ):
             with pytest.raises(TypingError) as checked:
                 check_well_formed(f, ctx)
@@ -207,6 +207,26 @@ class TestStageProbe:
         proc = run_fresh("-c", script)
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout == "[0, 2]\n"
+
+    def test_a_non_binder_is_named_by_its_class(self):
+        # the message does not print the formula, whose text is 0.63 MB
+        # for c08
+        script = textwrap.dedent("""
+            from _machines import M_LASTPROP
+            from hopfp.compiler import CodingContext, ReductionParams, build_machine_formula
+            from hopfp.evaluator import pfp_iterate
+            from hopfp.lts import ordered_lts
+            from hopfp.machine import encode_lts
+            host = ordered_lts(6, (), ("p",), labels={(5, "p")})
+            f = build_machine_formula(CodingContext(host, M_LASTPROP, ReductionParams(1, 1)), encode_lts(host))
+            try:
+                pfp_iterate(host, f)
+            except TypeError as exc:
+                print(exc)
+        """)
+        proc = run_fresh("-c", script)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout == "not a fixpoint binder: Not\n"
 
 
 class TestPinnedCounters:

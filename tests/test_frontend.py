@@ -147,7 +147,7 @@ class TestTypes:
 
     def test_round_trip(self):
         for t in (G, SetOf(G), Compound((G, SetOf(SetOf(G)))), SetOf(Compound((G, G)))):
-            assert parse_type(format_type(t)) == t
+            assert parse_type(format_type(t)) == t and repr(t) == format_type(t)
 
     def test_formatting_a_formula_is_a_type_error(self):
         for f in (TT, Exists("x", G, TT)):
@@ -234,6 +234,33 @@ class TestFormulaParsing:
         proc = run_fresh("-c", script)
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout == "True\nTrue 3001\n1000\n"
+
+    def test_repr_is_the_printed_text(self):
+        # a node's or a type's repr is its text in the reader's syntax,
+        # printed bottom-up, so it needs no raised recursion limit either
+        script = textwrap.dedent("""
+            import sys
+            from _machines import M_ACC2, M_LASTPROP
+            from hopfp.compiler import CodingContext, ReductionParams, build_machine_formula
+            from hopfp.frontend import format_formula, format_type
+            from hopfp.logic import GROUND, SetOf
+            from hopfp.lts import ordered_lts
+            from hopfp.machine import encode_lts
+            host = ordered_lts(6, (), ("p",), labels={(5, "p")})
+            c07 = CodingContext(ordered_lts(2), M_ACC2, ReductionParams(2, 1)), "1" * 16
+            c08 = CodingContext(host, M_LASTPROP, ReductionParams(1, 1)), encode_lts(host)
+            for case in (c07, c08):
+                f = build_machine_formula(*case)
+                print(repr(f) == format_formula(f))
+            t = GROUND
+            for _ in range(3000):
+                t = SetOf(t)
+            print(repr(t) == format_type(t) == "(set " * 3000 + "o" + ")" * 3000)
+            print(sys.getrecursionlimit())
+        """)
+        proc = run_fresh("-c", script)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout == "True\nTrue\nTrue\n1000\n"
 
     def test_reading_leaves_the_recursion_limit(self):
         # the readers keep their waiting converters on a list, so forms

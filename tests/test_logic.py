@@ -159,7 +159,7 @@ class TestWellFormedness:
         with pytest.raises(TypingError, match="unbound variable 'x'"):
             check_well_formed(conj([ground, lifted, open_x]))
         mixed = Exists("S", SetOf(G), Exists("x", SetOf(G), inner))
-        with pytest.raises(TypingError, match="argument 'x' of 'S' has type set"):
+        with pytest.raises(TypingError, match=r"argument 'x' of 'S' has type \(set o\), expected o"):
             check_well_formed(conj([ground, lifted, mixed]))
 
 

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import hopfp
-from hopfp import format_tm
+from hopfp import format_tm, logic
 from hopfp.cli import run_cli
 
 from _machines import M_FIRST1
@@ -29,6 +29,37 @@ def test_imports_only_the_standard_library():
                 continue
             outside += [(path.name, name) for name in names if name.split(".")[0] not in allowed]
     assert outside == []
+
+
+def _scoped(tree):
+    """Every node of tree, with the dotted names of the classes and
+    functions around it."""
+    stack = [("", tree)]
+    while stack:
+        scope, node = stack.pop()
+        yield scope, node
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + "." + node.name if scope else node.name
+        stack.extend((scope, child) for child in ast.iter_child_nodes(node))
+
+
+def test_one_recursion_limit_raise_and_one_node_repr():
+    # compiling is the one place that raises the recursion limit, and a
+    # node's or a type's one text is the reader's syntax, which _Node's
+    # repr takes from frontend's printers
+    raises = []
+    for path in sorted(Path(hopfp.__file__).parent.rglob("*.py")):
+        for scope, node in _scoped(ast.parse(path.read_text(), str(path))):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name == "setrecursionlimit" or isinstance(node, ast.alias) and node.name == "setrecursionlimit":
+                raises.append((path.name, scope))
+    assert raises == [("evaluator.py", "_Session.compile_root")]
+    reprs = [scope for scope, node in _scoped(ast.parse(Path(logic.__file__).read_text()))
+             if isinstance(node, ast.FunctionDef) and node.name == "__repr__"]
+    assert reprs == ["_Node"]
+    # nor does dataclass write one for a node class
+    nodes = [c for c in vars(logic).values() if isinstance(c, type) and issubclass(c, logic._Node)]
+    assert logic.Pfp in nodes and all(c.__repr__ is logic._Node.__repr__ for c in nodes)
 
 
 def test_readme_library_example_runs_as_printed(tmp_path, monkeypatch):
